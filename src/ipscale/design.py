@@ -358,33 +358,9 @@ def build_table_design(schema: TableSchema) -> DesignMatrix:
     factor pair/triple up to ``interaction_order``, levels enumerated
     lexicographically.
     """
-    n_cells = schema.n_cells
-    r = schema.n_factors
-    supports: list[np.ndarray] = [np.arange(n_cells, dtype=np.int64)]
-    labels = ["(intercept)"]
-    names = [n for n, _ in schema.factors]
-    sizes = [m for _, m in schema.factors]
-
-    for k in range(r):
-        for lev in range(2, sizes[k] + 1):
-            supports.append(_combo_support(schema, [(k, lev - 1)]))
-            labels.append(f"{names[k]}={lev}")
-    if schema.interaction_order >= 2:
-        for j, k in itertools.combinations(range(r), 2):
-            for lj in range(2, sizes[j] + 1):
-                for lk in range(2, sizes[k] + 1):
-                    supports.append(_combo_support(schema, [(j, lj - 1), (k, lk - 1)]))
-                    labels.append(f"{names[j]}={lj}*{names[k]}={lk}")
-    if schema.interaction_order >= 3:
-        for j, k, l in itertools.combinations(range(r), 3):
-            for lj in range(2, sizes[j] + 1):
-                for lk in range(2, sizes[k] + 1):
-                    for ll in range(2, sizes[l] + 1):
-                        supports.append(
-                            _combo_support(schema, [(j, lj - 1), (k, lk - 1), (l, ll - 1)])
-                        )
-                        labels.append(f"{names[j]}={lj}*{names[k]}={lk}*{names[l]}={ll}")
-    return DesignMatrix.from_columns(n_cells, supports, labels)
+    columns = table_column_supports(schema)
+    supports = [_combo_support(schema, constraint) for constraint, _ in columns]
+    return DesignMatrix.from_columns(schema.n_cells, supports, [label for _, label in columns])
 
 
 def _canonical_margins(schema: TableSchema, margins_spec) -> list[tuple[int, ...]]:
@@ -549,11 +525,15 @@ def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatri
             if not rec:
                 continue
             try:
-                rows.append(int(rec[0]))
-                cols.append(int(rec[1]))
-                vals.append(float(rec[2]))
+                i, j, v = int(rec[0]), int(rec[1]), float(rec[2])
             except (ValueError, IndexError) as exc:
                 raise DesignError(f"{path}:{lineno}: bad triplet record: {exc}") from exc
+            if i < 0 or j < 0 or (n_rows is not None and i >= n_rows) \
+                    or (n_cols is not None and j >= n_cols):
+                raise DesignError(f"{path}:{lineno}: index ({i}, {j}) out of range")
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
     if not rows:
         raise DesignError(f"{path}: no entries")
     n = n_rows if n_rows is not None else max(rows) + 1

@@ -4,7 +4,11 @@ All fitters share one contract: they take a :class:`ProblemInstance` and a
 :class:`SolverConfig`, maintain the fitted mean multiplicatively alongside
 the coefficients, record a convergence trace, and stop when the relative
 gradient  ||g_t||_inf / ||g_0||_inf  drops to ``eps_tol`` (inclusive) or a
-time/iteration limit is hit.
+time/iteration limit is hit.  A step that leaves the iterate unchanged is
+an exact fixed point and ends the run as converged, unless its subproblem
+failed.  A non-finite objective or gradient, or such a failed step, ends
+the run with the ``diverged`` termination.  Every iterative variant runs
+in one outer loop (:func:`_drive`); each family supplies only its step.
 
 Variants
 --------
@@ -29,6 +33,7 @@ so that trace files are byte-reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -96,6 +101,9 @@ class TraceRecord:
     objective: float
     rel_gradient: float
     est_error: float | None = None
+    # the termination called for by the step before this record leaving the
+    # iterate unchanged (see _step_outcome); "" when the step moved it
+    step_outcome: str = ""
 
     @property
     def work_seconds(self) -> float:
@@ -140,18 +148,39 @@ class FitResult:
         return self.trace.final().wall_seconds
 
 
+def _stop_reason(rec: TraceRecord, cfg: SolverConfig) -> str:
+    """The stopping rule: the termination a record calls for, or "" to go on.
+
+    After the gradient, time and iteration tests, a record whose step left
+    the iterate unchanged ends the run with that step's outcome.
+    """
+    if not (math.isfinite(rec.objective) and math.isfinite(rec.rel_gradient)):
+        return DIVERGED
+    if rec.rel_gradient <= cfg.eps_tol:
+        return TOL_REACHED
+    if rec.wall_seconds >= cfg.t_max_secs:
+        return TIME_LIMIT
+    if rec.iteration >= cfg.max_iters:
+        return ITER_LIMIT
+    return rec.step_outcome
+
+
+def _step_outcome(moved: bool, failed: bool = False) -> str:
+    """What a step says about the run: "" when it moved the iterate.
+
+    An unchanged iterate is an exact fixed point of the update map, where
+    the relative-gradient test can never fire if g0 was measured at the same
+    state, so it ends the run as converged; when a subproblem of the step
+    failed, it is a stall and ends the run as diverged.
+    """
+    if moved:
+        return ""
+    return DIVERGED if failed else TOL_REACHED
+
+
 def check_stop(trace: ConvergenceTrace, cfg: SolverConfig) -> bool:
-    """Stopping rule on the latest record (relative gradient is inclusive)."""
-    if not trace.records:
-        return False
-    rec = trace.final()
-    if trace.g0_norm == 0.0:
-        return True
-    return (
-        rec.rel_gradient <= cfg.eps_tol
-        or rec.wall_seconds >= cfg.t_max_secs
-        or rec.iteration >= cfg.max_iters
-    )
+    """Whether the stopping rule fires on the latest record (relative gradient is inclusive)."""
+    return bool(trace.records) and bool(_stop_reason(trace.final(), cfg))
 
 
 class _Run:
@@ -172,23 +201,14 @@ class _Run:
             return True
         return False
 
-    def record(self, iteration: int, obj: float, gnorm: float, est: float | None) -> bool:
+    def record(self, iteration: int, obj: float, gnorm: float, est: float | None,
+               step_outcome: str = "") -> bool:
         wall = time.perf_counter() - self.t0
-        rel = gnorm / self.trace.g0_norm
-        self.trace.records.append(TraceRecord(iteration, wall, self.work, obj, rel, est))
-        if np.isnan(obj) or np.isnan(rel):
-            self.trace.termination = DIVERGED
-            return True
-        if rel <= self.cfg.eps_tol:
-            self.trace.termination = TOL_REACHED
-            return True
-        if wall >= self.cfg.t_max_secs:
-            self.trace.termination = TIME_LIMIT
-            return True
-        if iteration >= self.cfg.max_iters:
-            self.trace.termination = ITER_LIMIT
-            return True
-        return False
+        rec = TraceRecord(iteration, wall, self.work, obj, gnorm / self.trace.g0_norm, est,
+                          step_outcome)
+        self.trace.records.append(rec)
+        self.trace.termination = _stop_reason(rec, self.cfg)
+        return bool(self.trace.termination)
 
     def out_of_time(self) -> bool:
         return time.perf_counter() - self.t0 >= self.cfg.t_max_secs
@@ -241,184 +261,258 @@ def _init_slope(cfg: SolverConfig, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The shared outer loop and the two kinds of iterate it drives
+# ---------------------------------------------------------------------------
+
+
+class _Family:
+    """State and step of one solver family, run by :func:`_drive`.
+
+    A family exposes ``beta`` and ``mu`` and defines ``objective``,
+    ``grad_norm``, ``resync`` (rebuild the mean from the coefficients) and
+    ``step``.  ``step(run)`` performs one outer iteration, adds its work
+    units to ``run.work`` and returns its :func:`_step_outcome`.  ``flags``
+    and the lists in ``diagnostics`` go into the result.
+    """
+
+    setup_work = 0.0
+
+    def __init__(self, inst: ProblemInstance):
+        self.inst = inst
+        self.divergent: set[int] = set()
+        self.flags: dict = {}
+        self.diagnostics: dict[str, list] = {}
+
+
+def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
+    """The outer loop of every iterative variant but the Newton oracle.
+
+    Records the start, then steps until the stopping rule fires on a
+    record: one on the ``record_every`` cadence, one after a step that
+    changed nothing, or one taken once out of time between records.  The
+    mean is rebuilt every 64 iterations against multiplicative drift.
+    """
+    inst = fam.inst
+    run = _Run(cfg)
+    run.work += fam.setup_work
+    record_work = _nnz(inst.design) + inst.n_cols
+
+    def state():
+        return fam.objective(), fam.grad_norm(), _est_error(fam.beta, inst.beta_true)
+
+    if not run.start(*state()):
+        it = 0
+        while True:
+            outcome = fam.step(run)
+            it += 1
+            if outcome:
+                run.record(it, *state(), outcome)
+                break
+            if it % 64 == 0:
+                fam.resync()
+            if run.at_cadence(it):
+                run.work += record_work
+                if run.record(it, *state()):
+                    break
+            elif run.out_of_time():
+                run.record(it, *state())
+                break
+    diagnostics = {k: np.array(v) for k, v in fam.diagnostics.items()}
+    return _finish(variant, fam.beta, fam.mu, run, fam.divergent, fam.flags, diagnostics)
+
+
+def _finish(variant, beta, mu, run, divergent, flags=None, diagnostics=None) -> FitResult:
+    if not run.trace.termination:
+        run.trace.termination = ITER_LIMIT
+    flags = {"divergent_coordinates": sorted(divergent), **(flags or {})}
+    return FitResult(variant=variant, beta=beta, mu=mu, trace=run.trace,
+                     flags=flags, diagnostics=diagnostics or {})
+
+
+class _RawState(_Family):
+    """Coefficients with their mean q o exp(X beta), on the raw objective."""
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        super().__init__(inst)
+        self.c = Coefficients.from_beta(inst, _init_beta(cfg, inst.n_cols))
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.c.beta
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.c.mu
+
+    def objective(self) -> float:
+        return -float(self.inst.suff_stats @ self.c.beta) + float(self.c.mu.sum())
+
+    def grad_norm(self) -> float:
+        return float(np.max(np.abs(self.inst.design.rmatvec(self.c.mu) - self.inst.suff_stats)))
+
+    def resync(self) -> None:
+        self.c.resync(self.inst)
+
+
+class _ProfiledState(_Family):
+    """Slopes with the un-normalized mean mu_ring = q o exp(Xs slope).
+
+    The intercept is profiled out: it is recovered in closed form, and the
+    objective is l at the profiled-optimal intercept, which differs from
+    the slope objective by a data-only constant.
+    """
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst)
+        if not inst.design.has_intercept:
+            raise SolverError(f"{variant} needs an intercept as design column 0")
+        self.slope = _init_slope(cfg, inst.n_cols)
+        self.total = inst.total_count
+        self.s_slope = inst.suff_stats[1:]
+        self.resync()
+
+    @property
+    def beta(self) -> np.ndarray:
+        b0 = np.log(self.total) - np.log(float(self.mu_ring.sum()))
+        return np.concatenate(([b0], self.slope))
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.total * self.mu_ring / float(self.mu_ring.sum())
+
+    def objective(self) -> float:
+        return -float(self.s_slope @ self.slope) + self.total * np.log(float(self.mu_ring.sum())) \
+            + self.total * (1.0 - np.log(self.total))
+
+    def grad(self) -> np.ndarray:
+        return -self.s_slope + (self.total / float(self.mu_ring.sum())) \
+            * self.inst.design.slope_rmatvec(self.mu_ring)
+
+    def grad_norm(self) -> float:
+        return float(np.max(np.abs(self.grad())))
+
+    def resync(self) -> None:
+        self.mu_ring = self.inst.offset * np.exp(self.inst.design.slope_matvec(self.slope))
+
+
+# ---------------------------------------------------------------------------
 # Cyclic coordinate descent family: ips, a-ips, x2-ips, l1-ips
 # ---------------------------------------------------------------------------
 
 
-def _cd_fit(inst: ProblemInstance, cfg: SolverConfig, *, variant: str,
-            randomize: bool, pearson: bool = False, lam: float = 0.0,
-            _perm_fn=None) -> FitResult:
-    X = inst.design
-    if X.kind != KIND_BINARY:
-        raise SolverError(
-            f"{variant} uses the closed-form binary update; "
-            "use the mm-general variant for non-binary designs")
-    if pearson and inst.counts is None:
-        raise SolverError("x2-ips needs the full count vector")
-    if lam > 0 and not X.has_intercept:
-        raise SolverError("l1-ips needs an intercept as design column 0")
-    p = X.n_cols
-    s = inst.suff_stats
-    B = cfg.clamp
-    beta = _init_beta(cfg, p)
-    c = Coefficients.from_beta(inst, beta)
-    mu = c.mu
-    n = inst.counts
-    nsq = n * n if pearson else None
-    nnz = _nnz(X)
-    N = X.n_rows
-    rng = _rng(cfg.seed)
-    divergent: set[int] = set()
-    g2_after_intercept: list[float] = []
+class _CDFamily(_RawState):
+    """One cyclic (or, for a-ips, freshly permuted) sweep of closed-form
+    coordinate updates per step."""
 
-    def grad_norm() -> float:
-        if pearson:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = mu - nsq / mu
-            g = X.rmatvec(resid)
-            return float(np.max(np.abs(g)))
-        g = X.rmatvec(mu) - s
-        if lam > 0:
-            r = np.abs(g).copy()
-            act = np.nonzero(beta[1:] != 0.0)[0] + 1
-            r[act] = np.abs(g[act] + lam * np.sign(beta[act]))
-            zer = np.nonzero(beta[1:] == 0.0)[0] + 1
-            r[zer] = np.maximum(0.0, np.abs(g[zer]) - lam)
-            return float(np.max(r))
-        return float(np.max(np.abs(g)))
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str, perm_fn=None):
+        X = inst.design
+        pearson = variant == "x2-ips"
+        lam = cfg.lam if variant == "l1-ips" else 0.0
+        if X.kind != KIND_BINARY:
+            raise SolverError(
+                f"{variant} uses the closed-form binary update; "
+                "use the mm-general variant for non-binary designs")
+        if pearson and inst.counts is None:
+            raise SolverError("x2-ips needs the full count vector")
+        if lam > 0 and not X.has_intercept:
+            raise SolverError("l1-ips needs an intercept as design column 0")
+        super().__init__(inst, cfg)
+        p = X.n_cols
+        self.clamp, self.pearson, self.lam = cfg.clamp, pearson, lam
+        self.nsq = inst.counts * inst.counts if pearson else None
+        self.supports = [X.col_support(j) for j in range(p)]
+        rng = _rng(cfg.seed)
+        perm = perm_fn or (lambda rng, p: rng.permutation(p))
+        self.order = (lambda: perm(rng, p)) if variant == "a-ips" else (lambda: range(p))
+        self.track_g2 = bool(cfg.track_g2 and inst.counts is not None and X.has_intercept)
+        if self.track_g2:
+            self.diagnostics["g2_after_intercept"] = []
+        self.sweep_work = (3.0 if pearson else 2.0) * _nnz(X) + 3.0 * X.n_rows
 
-    def objective() -> float:
-        if pearson:
-            return mdl.pearson_x2(n, mu)
-        val = -float(s @ beta) + float(mu.sum())
-        if not np.isfinite(val):
-            return np.inf if not np.isnan(val) else np.nan
-        if lam > 0:
-            val += lam * float(np.abs(beta[1:]).sum())
+    def objective(self) -> float:
+        if self.pearson:
+            return mdl.pearson_x2(self.inst.counts, self.c.mu)
+        val = super().objective()
+        if self.lam > 0:
+            val += self.lam * float(np.abs(self.c.beta[1:]).sum())
         return val
 
-    run = _Run(cfg)
-    if run.start(objective(), grad_norm(), _est_error(beta, inst.beta_true)):
-        return _finish(variant, inst, beta, mu, run, divergent)
+    def grad_norm(self) -> float:
+        if self.pearson:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resid = self.c.mu - self.nsq / self.c.mu
+            return float(np.max(np.abs(self.inst.design.rmatvec(resid))))
+        if self.lam > 0:
+            return float(np.max(l1_kkt_residuals(self.inst, self.c.beta, self.c.mu, self.lam)))
+        return super().grad_norm()
 
-    supports = [X.col_support(j) for j in range(p)]
-    base_order = range(p)
-    track = bool(cfg.track_g2 and n is not None and X.has_intercept)
-    log, exp = np.log, np.exp
-
-    def sweep(order) -> bool:
+    def step(self, run: _Run) -> str:
+        beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, self.clamp, self.lam
+        pearson, nsq, supports, divergent = self.pearson, self.nsq, self.supports, self.divergent
+        log, exp = np.log, np.exp
+        order = self.order()
+        track = self.track_g2 and order[0] == 0
         changed = False
-        first = True
-        for j in order:
-            supp = supports[j]
-            den = mu[supp].sum()
-            if pearson:
-                num = (nsq[supp] / mu[supp]).sum()
-                if num > 0.0 and den > 0.0 and np.isfinite(num):
-                    b_new = beta[j] + 0.5 * log(num / den)
-                    if not -B <= b_new <= B:
-                        b_new = min(max(b_new, -B), B)
-                        divergent.add(j)
-                else:
-                    b_new = -B if num <= 0.0 else B
-                    divergent.add(j)
-            elif lam > 0.0 and j != 0:
-                delta = s[j] - exp(-beta[j]) * den
-                if abs(delta) <= lam:
-                    b_new = 0.0
-                else:
-                    num = s[j] - lam * np.sign(delta)
-                    if num > 0.0 and den > 0.0:
-                        b_new = beta[j] + log(num / den)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for j in order:
+                supp = supports[j]
+                den = mu[supp].sum()
+                if pearson:
+                    num = (nsq[supp] / mu[supp]).sum()
+                    if num > 0.0 and den > 0.0 and np.isfinite(num):
+                        b_new = beta[j] + 0.5 * log(num / den)
                         if not -B <= b_new <= B:
                             b_new = min(max(b_new, -B), B)
                             divergent.add(j)
                     else:
                         b_new = -B if num <= 0.0 else B
                         divergent.add(j)
-            else:
-                num = s[j]
-                if num > 0.0 and den > 0.0:
-                    b_new = beta[j] + log(num / den)
-                    if not -B <= b_new <= B or not np.isfinite(b_new):
-                        b_new = min(max(b_new, -B), B)
+                elif lam > 0.0 and j != 0:
+                    b_new = l1_threshold_update(j, beta[j], s[j], den, lam, B)
+                    if not -B < b_new < B:  # clamped, or NaN
                         divergent.add(j)
                 else:
-                    b_new = -B if num <= 0.0 else B
-                    divergent.add(j)
-            d = b_new - beta[j]
-            if d != 0.0:
-                mu[supp] *= exp(d)
-                beta[j] = b_new
-                changed = True
-            if first and track and j == 0:
-                g2_after_intercept.append(mdl.g_squared(n, mu))
-            first = False
-        return changed
-
-    it = 0
-    while True:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if randomize:
-                order = _perm_fn(rng, p) if _perm_fn is not None else rng.permutation(p)
-                changed = sweep(order)
-            else:
-                changed = sweep(base_order)
-        it += 1
-        if not changed:
-            # exact fixed point of the update map (typical for warm starts at
-            # the optimum): the relative-gradient rule can never fire because
-            # g0 was measured at the same stationary state
-            run.record(it, objective(), grad_norm(), _est_error(beta, inst.beta_true))
-            if not run.trace.termination:
-                run.trace.termination = TOL_REACHED
-            break
-        run.work += (3.0 if pearson else 2.0) * nnz + 3.0 * N
-        if it % 64 == 0:
-            # guard against multiplicative drift on long runs
-            eta = X.matvec(beta)
-            np.exp(eta, out=mu)
-            mu *= inst.offset
-        if run.at_cadence(it):
-            run.work += nnz + p
-            if run.record(it, objective(), grad_norm(), _est_error(beta, inst.beta_true)):
-                break
-        elif run.out_of_time():
-            run.record(it, objective(), grad_norm(), _est_error(beta, inst.beta_true))
-            break
-
-    res = _finish(variant, inst, beta, mu, run, divergent)
-    if g2_after_intercept:
-        res.diagnostics["g2_after_intercept"] = np.array(g2_after_intercept)
-    return res
+                    num = s[j]
+                    if num > 0.0 and den > 0.0:
+                        b_new = beta[j] + log(num / den)
+                        if not -B <= b_new <= B or not np.isfinite(b_new):
+                            b_new = min(max(b_new, -B), B)
+                            divergent.add(j)
+                    else:
+                        b_new = -B if num <= 0.0 else B
+                        divergent.add(j)
+                d = b_new - beta[j]
+                if d != 0.0:
+                    mu[supp] *= exp(d)
+                    beta[j] = b_new
+                    changed = True
+                if track:
+                    self.diagnostics["g2_after_intercept"].append(mdl.g_squared(self.inst.counts, mu))
+                    track = False
+        if changed:
+            run.work += self.sweep_work
+        return _step_outcome(changed)
 
 
-def _finish(variant, inst, beta, mu, run, divergent, diagnostics=None) -> FitResult:
-    if not run.trace.termination:
-        run.trace.termination = ITER_LIMIT
-    flags = {"divergent_coordinates": sorted(divergent)}
-    return FitResult(variant=variant, beta=beta, mu=mu, trace=run.trace,
-                     flags=flags, diagnostics=diagnostics or {})
+def _cd_fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str, perm_fn=None) -> FitResult:
+    cfg = cfg or SolverConfig(variant=variant)
+    return _drive(variant, cfg, _CDFamily(inst, cfg, variant, perm_fn))
 
 
 def ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    cfg = cfg or SolverConfig(variant="ips")
-    return _cd_fit(inst, cfg, variant="ips", randomize=False)
+    return _cd_fit(inst, cfg, "ips")
 
 
 def a_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None, *, _perm_fn=None) -> FitResult:
-    cfg = cfg or SolverConfig(variant="a-ips")
-    return _cd_fit(inst, cfg, variant="a-ips", randomize=True, _perm_fn=_perm_fn)
+    return _cd_fit(inst, cfg, "a-ips", _perm_fn)
 
 
 def x2_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    cfg = cfg or SolverConfig(variant="x2-ips")
-    return _cd_fit(inst, cfg, variant="x2-ips", randomize=False, pearson=True)
+    return _cd_fit(inst, cfg, "x2-ips")
 
 
 def l1_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    cfg = cfg or SolverConfig(variant="l1-ips")
-    return _cd_fit(inst, cfg, variant="l1-ips", randomize=False, lam=cfg.lam)
+    return _cd_fit(inst, cfg, "l1-ips")
 
 
 def l1_threshold_update(j: int, beta_j: float, s_j: float, col_mu_sum: float,
@@ -434,7 +528,7 @@ def l1_threshold_update(j: int, beta_j: float, s_j: float, col_mu_sum: float,
     num = s_j - lam * np.sign(delta)
     if num <= 0.0 or col_mu_sum <= 0.0:
         return -clamp if num <= 0.0 else clamp
-    return float(np.clip(beta_j + np.log(num / col_mu_sum), -clamp, clamp))
+    return float(min(max(beta_j + np.log(num / col_mu_sum), -clamp), clamp))
 
 
 def l1_kkt_residuals(inst: ProblemInstance, beta: np.ndarray, mu: np.ndarray,
@@ -631,6 +725,9 @@ def _surrogate_block_newton(Xk, sk, mu, r, active, inner_tol, inner_max):
         f = f_try
     if converged:
         return d, True
+    if not d.any():
+        # no Newton step was accepted: a failed subproblem, not a zero step
+        return d, False
     # fallback mandated for a stalled subproblem: halve, retry once, then flag
     d_half = 0.5 * d
     with np.errstate(over="ignore"):
@@ -640,80 +737,51 @@ def _surrogate_block_newton(Xk, sk, mu, r, active, inner_tol, inner_max):
     return np.zeros(g), False
 
 
-def _mm_fit(inst: ProblemInstance, cfg: SolverConfig, variant: str) -> FitResult:
-    X = inst.design
-    p = X.n_cols
-    beta = _init_beta(cfg, p)
-    c = Coefficients.from_beta(inst, beta)
-    divergent: set[int] = set()
-    flags: dict = {}
-    nnz = _nnz(X)
-    N = X.n_rows
-    s = inst.suff_stats
-    if variant == "mm-parallel":
-        blocks = _auto_blocks(p, cfg.block_sizes, what="mm-parallel")
+class _MMFamily(_RawState):
+    """One synchronized surrogate step of all coordinates per iteration."""
 
-    def step():
-        if variant == "mm-binary":
-            mm_binary_step(inst, c, cfg.clamp, divergent)
-        elif variant == "gis":
-            gis_step(inst, c, cfg.clamp, divergent)
-        elif variant == "mm-general":
-            mm_general_step(inst, c, cfg.clamp, divergent)
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst, cfg)
+        X = inst.design
+        if variant == "mm-parallel":
+            blocks = _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")
+            self.update = lambda: mm_parallel_step(
+                inst, self.c, blocks, cfg.clamp, self.divergent,
+                cfg.inner_tol, cfg.inner_max_iters, self.flags)
         else:
-            mm_parallel_step(inst, c, blocks, cfg.clamp, divergent,
-                             cfg.inner_tol, cfg.inner_max_iters, flags)
+            fn = {"mm-binary": mm_binary_step, "gis": gis_step, "mm-general": mm_general_step}[variant]
+            self.update = lambda: fn(inst, self.c, cfg.clamp, self.divergent)
+        N, p = X.n_rows, X.n_cols
+        self.step_work = 4.0 * _nnz(X) + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
 
-    def objective() -> float:
-        return -float(s @ c.beta) + float(c.mu.sum())
+    def step(self, run: _Run) -> str:
+        before = self.c.beta.copy()
+        failures = self.flags.get("block_step_failures", 0)
+        self.update()
+        run.work += self.step_work
+        return _step_outcome(not np.array_equal(self.c.beta, before),
+                             self.flags.get("block_step_failures", 0) != failures)
 
-    def grad_norm() -> float:
-        return float(np.max(np.abs(X.rmatvec(c.mu) - s)))
 
-    run = _Run(cfg)
-    if run.start(objective(), grad_norm(), _est_error(c.beta, inst.beta_true)):
-        return _finish(variant, inst, c.beta, c.mu, run, divergent)
-    it = 0
-    per_iter = 4.0 * nnz + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
-    while True:
-        before = c.beta.copy()
-        step()
-        it += 1
-        run.work += per_iter
-        if np.array_equal(c.beta, before):
-            # exact fixed point of the synchronized update map
-            run.record(it, objective(), grad_norm(), _est_error(c.beta, inst.beta_true))
-            if not run.trace.termination:
-                run.trace.termination = TOL_REACHED
-            break
-        if it % 64 == 0:
-            c.resync(inst)
-        if run.at_cadence(it):
-            run.work += nnz + p
-            if run.record(it, objective(), grad_norm(), _est_error(c.beta, inst.beta_true)):
-                break
-        elif run.out_of_time():
-            run.record(it, objective(), grad_norm(), _est_error(c.beta, inst.beta_true))
-            break
-    res = _finish(variant, inst, c.beta, c.mu, run, divergent)
-    res.flags.update(flags)
-    return res
+def _mm_fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str) -> FitResult:
+    cfg = cfg or SolverConfig(variant=variant)
+    return _drive(variant, cfg, _MMFamily(inst, cfg, variant))
 
 
 def mm_binary_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg or SolverConfig(variant="mm-binary"), "mm-binary")
+    return _mm_fit(inst, cfg, "mm-binary")
 
 
 def gis_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg or SolverConfig(variant="gis"), "gis")
+    return _mm_fit(inst, cfg, "gis")
 
 
 def mm_general_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg or SolverConfig(variant="mm-general"), "mm-general")
+    return _mm_fit(inst, cfg, "mm-general")
 
 
 def mm_parallel_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg or SolverConfig(variant="mm-parallel"), "mm-parallel")
+    return _mm_fit(inst, cfg, "mm-parallel")
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +857,49 @@ def solve_scaling_equation(coef: np.ndarray, expo: np.ndarray, rhs: float,
     return d, False, evals
 
 
+class _IisFamily(_ProfiledState):
+    """One monotone 1-D scaling equation per slope coordinate, then one
+    rescale of the slope mean for all coordinates at once."""
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        super().__init__(inst, cfg, "iis")
+        X = inst.design
+        if X.kind == KIND_GENERAL:
+            raise SolverError("iis requires a non-negative design")
+        p = X.n_cols
+        self.clamp = cfg.clamp
+        self.rowsum = X.slope_row_sums()
+        self.supports = [X.col_support(j) if X.csc is not None else None for j in range(1, p)]
+        self.cols_dense = None if X.csc is not None else [X.dense[:, j] for j in range(1, p)]
+        self.nnz = _nnz(X)
+
+    def step(self, run: _Run) -> str:
+        mu_ring, slope, rowsum = self.mu_ring, self.slope, self.rowsum
+        k = self.total / float(mu_ring.sum())
+        delta = np.zeros(len(slope))
+        for j in range(len(slope)):
+            if self.supports[j] is not None:
+                rows = self.supports[j]
+                coef = mu_ring[rows]
+            else:
+                colv = self.cols_dense[j]
+                rows = np.nonzero(colv)[0]
+                coef = colv[rows] * mu_ring[rows]
+            d, clamped, evals = solve_scaling_equation(
+                coef, rowsum[rows], float(self.s_slope[j]), k, self.clamp, rel_tol=1e-12)
+            run.work += 2.0 * evals * len(rows)
+            if clamped:
+                self.divergent.add(j + 1)
+            delta[j] = d
+        new_slope = np.clip(slope + delta, -self.clamp, self.clamp)
+        moved = not np.array_equal(new_slope, slope)
+        with np.errstate(over="ignore"):
+            mu_ring *= np.exp(self.inst.design.slope_matvec(new_slope - slope))
+        slope[:] = new_slope
+        run.work += self.nnz
+        return _step_outcome(moved)
+
+
 def iis_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
     """Profiled-intercept scaling for non-negative slope designs.
 
@@ -798,81 +909,7 @@ def iis_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult
     closed form at the end.
     """
     cfg = cfg or SolverConfig(variant="iis")
-    X = inst.design
-    if not X.has_intercept:
-        raise SolverError("iis needs an intercept as design column 0")
-    if X.kind == KIND_GENERAL:
-        raise SolverError("iis requires a non-negative design")
-    p = X.n_cols
-    slope = _init_slope(cfg, p)
-    total = inst.total_count
-    s_slope = inst.suff_stats[1:]
-    rowsum = X.slope_row_sums()
-    mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-    supports = [X.col_support(j) if X.csc is not None else None for j in range(1, p)]
-    cols_dense = None if X.csc is not None else [X.dense[:, j] for j in range(1, p)]
-    divergent: set[int] = set()
-    nnz = _nnz(X)
-
-    def completed_beta() -> np.ndarray:
-        b0 = np.log(total) - np.log(float(mu_ring.sum()))
-        return np.concatenate(([b0], slope))
-
-    def objective() -> float:
-        # l at the profiled-optimal intercept (monotone alongside the slope
-        # objective); differs from it by a data-only constant
-        Lval = -float(s_slope @ slope) + total * np.log(float(mu_ring.sum()))
-        return Lval + total * (1.0 - np.log(total))
-
-    def grad_norm() -> float:
-        g = -s_slope + (total / float(mu_ring.sum())) * X.slope_rmatvec(mu_ring)
-        return float(np.max(np.abs(g)))
-
-    run = _Run(cfg)
-    if run.start(objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true)):
-        beta = completed_beta()
-        mu = total * mu_ring / float(mu_ring.sum())
-        return _finish("iis", inst, beta, mu, run, divergent)
-    it = 0
-    while True:
-        S = float(mu_ring.sum())
-        k = total / S
-        delta = np.zeros(p - 1)
-        for j in range(p - 1):
-            if supports[j] is not None:
-                rows = supports[j]
-                coef = mu_ring[rows]
-                expo = rowsum[rows]
-            else:
-                colv = cols_dense[j]
-                rows = np.nonzero(colv)[0]
-                coef = colv[rows] * mu_ring[rows]
-                expo = rowsum[rows]
-            d, clamped, evals = solve_scaling_equation(
-                coef, expo, float(s_slope[j]), k, cfg.clamp, rel_tol=1e-12)
-            run.work += 2.0 * evals * len(rows)
-            if clamped:
-                divergent.add(j + 1)
-            delta[j] = d
-        new_slope = np.clip(slope + delta, -cfg.clamp, cfg.clamp)
-        actual = new_slope - slope
-        with np.errstate(over="ignore"):
-            mu_ring *= np.exp(X.slope_matvec(actual))
-        slope[:] = new_slope
-        it += 1
-        run.work += nnz
-        if it % 64 == 0:
-            mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-        if run.at_cadence(it):
-            run.work += nnz + p
-            if run.record(it, objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true)):
-                break
-        elif run.out_of_time():
-            run.record(it, objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true))
-            break
-    beta = completed_beta()
-    mu = total * mu_ring / float(mu_ring.sum())
-    return _finish("iis", inst, beta, mu, run, divergent)
+    return _drive("iis", cfg, _IisFamily(inst, cfg))
 
 
 def profiled_scaling_sequence(inst: ProblemInstance, n_iters: int,
@@ -1019,105 +1056,86 @@ class _WOperator:
         return scipy.linalg.cho_solve(self.cf, g, check_finite=False)
 
 
+class _QipsFamily(_ProfiledState):
+    """Accelerated steps under the fixed curvature bound W, with a momentum
+    restart after five objective increases in a row."""
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        super().__init__(inst, cfg, "q-ips")
+        X = inst.design
+        self.lam = cfg.lam if cfg.variant == "ridge-q-ips" else 0.0
+        self.clamp = cfg.clamp
+        self.eta_aux = self.slope.copy()
+        self.theta = 1.0
+        self.W = _WOperator(inst, cfg.w_choice, self.lam)
+        N, p = X.n_rows, X.n_cols
+        self.setup_work = float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
+        self.step_work = 3.0 * _nnz(X) + 6.0 * N \
+            + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
+        self.bad_streak = 0
+        self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired,
+                          w_fell_back_to_spectral=self.W.fell_back)
+        self.obj = self.ridge_objective()
+
+    def ridge_objective(self) -> float:
+        val = super().objective()
+        if self.lam > 0.0:
+            val += 0.5 * self.lam * float(self.slope @ self.slope)
+        return val
+
+    def objective(self) -> float:
+        # the value the last step computed before any resync: records carry
+        # the objective that the restart test compared
+        return self.obj
+
+    def grad(self) -> np.ndarray:
+        g = super().grad()
+        if self.lam > 0.0:
+            g = g + self.lam * self.slope
+        return g
+
+    def step(self, run: _Run) -> str:
+        X, B, lam, theta, slope = self.inst.design, self.clamp, self.lam, self.theta, self.slope
+        alpha = (1.0 - theta) * slope + theta * self.eta_aux
+        w, _ = mdl._log_offset_weights(self.inst, alpha)
+        g_alpha = -self.s_slope + self.total * X.slope_rmatvec(w)
+        if lam > 0.0:
+            g_alpha = g_alpha + lam * alpha
+        eta_new = self.eta_aux - self.W.solve(g_alpha) / theta
+        np.clip(eta_new, -B, B, out=eta_new)
+        slope_new = (1.0 - theta) * slope + theta * eta_new
+        clipped = np.clip(slope_new, -B, B)
+        if not np.array_equal(clipped, slope_new):
+            self.divergent.update(int(j) + 1 for j in np.nonzero(clipped != slope_new)[0])
+            slope_new = clipped
+        with np.errstate(over="ignore"):
+            self.mu_ring *= np.exp(X.slope_matvec(slope_new - slope))
+        theta_new = 0.5 * (np.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
+        # the momentum state (eta_aux, theta) is part of the iterate
+        moved = theta_new != theta or not (
+            np.array_equal(slope_new, slope) and np.array_equal(eta_new, self.eta_aux))
+        self.slope, self.eta_aux, self.theta = slope_new, eta_new, theta_new
+        run.work += self.step_work
+        obj = self.ridge_objective()
+        if obj > self.obj + 1e-6 * (1.0 + abs(self.obj)):
+            self.bad_streak += 1
+            if self.bad_streak >= 5:
+                self.theta = 1.0
+                self.eta_aux = self.slope.copy()
+                self.flags["momentum_restarts"] += 1
+                self.bad_streak = 0
+        else:
+            self.bad_streak = 0
+        self.obj = obj
+        return _step_outcome(moved)
+
+
 def qips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
     """Momentum-accelerated fixed-quadratic-bound solver on the profiled
     objective; the ridge-q-ips variant penalizes the slopes with lam/2 ||.||^2.
     """
     cfg = cfg or SolverConfig(variant="q-ips")
-    X = inst.design
-    if not X.has_intercept:
-        raise SolverError("q-ips needs an intercept as design column 0")
-    ridge = cfg.variant == "ridge-q-ips"
-    lam = cfg.lam if ridge else 0.0
-    p = X.n_cols
-    total = inst.total_count
-    s_slope = inst.suff_stats[1:]
-    B = cfg.clamp
-    slope = _init_slope(cfg, p)
-    eta_aux = slope.copy()
-    theta = 1.0
-    mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-    W = _WOperator(inst, cfg.w_choice, lam)
-    nnz = _nnz(X)
-    N = X.n_rows
-    divergent: set[int] = set()
-    restarts = 0
-    bad_streak = 0
-
-    def completed_beta() -> np.ndarray:
-        b0 = np.log(total) - np.log(float(mu_ring.sum()))
-        return np.concatenate(([b0], slope))
-
-    def objective() -> float:
-        val = -float(s_slope @ slope) + total * np.log(float(mu_ring.sum())) \
-            + total * (1.0 - np.log(total))
-        if lam > 0.0:
-            val += 0.5 * lam * float(slope @ slope)
-        return val
-
-    def grad_at_state() -> np.ndarray:
-        g = -s_slope + (total / float(mu_ring.sum())) * X.slope_rmatvec(mu_ring)
-        if lam > 0.0:
-            g = g + lam * slope
-        return g
-
-    run = _Run(cfg)
-    run.work += float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
-    if run.start(objective(), float(np.max(np.abs(grad_at_state()))),
-                 _est_error(completed_beta(), inst.beta_true)):
-        mu = total * mu_ring / float(mu_ring.sum())
-        return _finish(cfg.variant, inst, completed_beta(), mu, run, divergent)
-    prev_obj = run.trace.records[0].objective
-    it = 0
-    while True:
-        alpha = (1.0 - theta) * slope + theta * eta_aux
-        w, _ = mdl._log_offset_weights(inst, alpha)
-        g_alpha = -s_slope + total * X.slope_rmatvec(w)
-        if lam > 0.0:
-            g_alpha = g_alpha + lam * alpha
-        eta_new = eta_aux - W.solve(g_alpha) / theta
-        np.clip(eta_new, -B, B, out=eta_new)
-        slope_new = (1.0 - theta) * slope + theta * eta_new
-        clipped = np.clip(slope_new, -B, B)
-        if not np.array_equal(clipped, slope_new):
-            divergent.update(int(j) + 1 for j in np.nonzero(clipped != slope_new)[0])
-            slope_new = clipped
-        d = slope_new - slope
-        with np.errstate(over="ignore"):
-            mu_ring *= np.exp(X.slope_matvec(d))
-        slope = slope_new
-        eta_aux = eta_new
-        theta = 0.5 * (np.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
-        it += 1
-        run.work += 3.0 * nnz + 6.0 * N + (float((p - 1) ** 2) if W.matrix is not None else float(p))
-        obj = objective()
-        if obj > prev_obj + 1e-6 * (1.0 + abs(prev_obj)):
-            bad_streak += 1
-            if bad_streak >= 5:
-                theta = 1.0
-                eta_aux = slope.copy()
-                restarts += 1
-                bad_streak = 0
-        else:
-            bad_streak = 0
-        prev_obj = obj
-        if it % 64 == 0:
-            mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-        if run.at_cadence(it):
-            run.work += nnz + p
-            if run.record(it, obj, float(np.max(np.abs(grad_at_state()))),
-                          _est_error(completed_beta(), inst.beta_true)):
-                break
-        elif run.out_of_time():
-            run.record(it, obj, float(np.max(np.abs(grad_at_state()))),
-                       _est_error(completed_beta(), inst.beta_true))
-            break
-    mu = total * mu_ring / float(mu_ring.sum())
-    res = _finish(cfg.variant, inst, completed_beta(), mu, run, divergent)
-    res.flags["momentum_restarts"] = restarts
-    res.flags["w_ridge_repaired"] = W.repaired
-    res.flags["w_fell_back_to_spectral"] = W.fell_back
-    return res
+    return _drive(cfg.variant, cfg, _QipsFamily(inst, cfg))
 
 
 def momentum_sequence(n: int, theta0: float = 1.0) -> np.ndarray:
@@ -1194,84 +1212,55 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
     return d, mu_loc, work, failed
 
 
+class _BipsFamily(_ProfiledState):
+    """A fresh random blocking of the slopes per sweep, then one
+    block-Newton update per block in turn."""
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        super().__init__(inst, cfg, "b-ips")
+        self.cfg = cfg
+        self.sizes = [len(b) for b in _auto_blocks(inst.n_cols - 1, cfg.block_sizes, what="b-ips")]
+        self.rng = _rng(cfg.seed)
+        self.flags["line_search_failures"] = 0
+        if cfg.track_block_objective:
+            self.diagnostics["block_objectives"] = []
+
+    def step(self, run: _Run) -> str:
+        cfg, X, slope = self.cfg, self.inst.design, self.slope
+        before = slope.copy()
+        failures = self.flags["line_search_failures"]
+        perm = self.rng.permutation(len(slope))
+        off = 0
+        for gsize in self.sizes:
+            cols = perm[off:off + gsize]
+            off += gsize
+            Xk = X.submatrix(cols + 1)
+            d, mu_new, work, failed = _block_newton_profiled(
+                Xk, self.s_slope[cols], self.mu_ring, self.total, cfg.inner_tol, cfg.inner_max_iters)
+            run.work += work
+            if failed:
+                self.flags["line_search_failures"] += 1
+            new_vals = np.clip(slope[cols] + d, -cfg.clamp, cfg.clamp)
+            if not np.array_equal(new_vals, slope[cols] + d):
+                hit = np.nonzero(new_vals != slope[cols] + d)[0]
+                self.divergent.update(int(cols[h]) + 1 for h in hit)
+                extra = new_vals - slope[cols] - d
+                with np.errstate(over="ignore"):
+                    mu_new = mu_new * np.exp(Xk @ extra)
+            slope[cols] = new_vals
+            self.mu_ring = mu_new
+            if cfg.track_block_objective:
+                self.diagnostics["block_objectives"].append(self.objective())
+        return _step_outcome(not np.array_equal(slope, before),
+                             self.flags["line_search_failures"] != failures)
+
+
 def bips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
     """Random blocking followed by cyclic block-Newton updates of the
     profiled objective; the intercept is recovered in closed form at the end.
     """
     cfg = cfg or SolverConfig(variant="b-ips")
-    X = inst.design
-    if not X.has_intercept:
-        raise SolverError("b-ips needs an intercept as design column 0")
-    p = X.n_cols
-    total = inst.total_count
-    s_slope = inst.suff_stats[1:]
-    slope = _init_slope(cfg, p)
-    mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-    blocks_template = _auto_blocks(p - 1, cfg.block_sizes, what="b-ips")
-    sizes = [len(b) for b in blocks_template]
-    rng = _rng(cfg.seed)
-    divergent: set[int] = set()
-    ls_failures = 0
-    block_objectives: list[float] = []
-    nnz = _nnz(X)
-
-    def completed_beta() -> np.ndarray:
-        b0 = np.log(total) - np.log(float(mu_ring.sum()))
-        return np.concatenate(([b0], slope))
-
-    def objective() -> float:
-        return -float(s_slope @ slope) + total * np.log(float(mu_ring.sum())) \
-            + total * (1.0 - np.log(total))
-
-    def grad_norm() -> float:
-        g = -s_slope + (total / float(mu_ring.sum())) * X.slope_rmatvec(mu_ring)
-        return float(np.max(np.abs(g)))
-
-    run = _Run(cfg)
-    if run.start(objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true)):
-        mu = total * mu_ring / float(mu_ring.sum())
-        return _finish("b-ips", inst, completed_beta(), mu, run, divergent)
-    it = 0
-    while True:
-        perm = rng.permutation(p - 1)
-        off = 0
-        for gsize in sizes:
-            cols = perm[off:off + gsize]
-            off += gsize
-            Xk = X.submatrix(cols + 1)
-            d, mu_new, work, failed = _block_newton_profiled(
-                Xk, s_slope[cols], mu_ring, total, cfg.inner_tol, cfg.inner_max_iters)
-            run.work += work
-            if failed:
-                ls_failures += 1
-            new_vals = np.clip(slope[cols] + d, -cfg.clamp, cfg.clamp)
-            if not np.array_equal(new_vals, slope[cols] + d):
-                hit = np.nonzero(new_vals != slope[cols] + d)[0]
-                divergent.update(int(cols[h]) + 1 for h in hit)
-                extra = new_vals - slope[cols] - d
-                with np.errstate(over="ignore"):
-                    mu_new = mu_new * np.exp(Xk @ extra)
-            slope[cols] = new_vals
-            mu_ring = mu_new
-            if cfg.track_block_objective:
-                block_objectives.append(objective())
-        it += 1
-        if it % 64 == 0:
-            mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-        if run.at_cadence(it):
-            run.work += nnz + p
-            if run.record(it, objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true)):
-                break
-        elif run.out_of_time():
-            run.record(it, objective(), grad_norm(), _est_error(completed_beta(), inst.beta_true))
-            break
-    mu = total * mu_ring / float(mu_ring.sum())
-    res = _finish("b-ips", inst, completed_beta(), mu, run, divergent)
-    res.flags["line_search_failures"] = ls_failures
-    if cfg.track_block_objective:
-        res.diagnostics["block_objectives"] = np.array(block_objectives)
-    return res
-
+    return _drive("b-ips", cfg, _BipsFamily(inst, cfg))
 
 # ---------------------------------------------------------------------------
 # Dense Newton baseline
@@ -1307,7 +1296,7 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
     run = _Run(cfg)
     g = grad()
     if run.start(objective(), float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true)):
-        return _finish("newton", inst, c.beta, c.mu, run, divergent)
+        return _finish("newton", c.beta, c.mu, run, divergent)
     it = 0
     f = run.trace.records[0].objective
     while True:
@@ -1337,12 +1326,11 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
         it += 1
         g = grad()
         run.work += nnz + p
-        if run.record(it, f, float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true)):
+        # a rejected step leaves the iterate unchanged and ends the run as diverged
+        if run.record(it, f, float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true),
+                      _step_outcome(accepted, failed=not accepted)):
             break
-        if not accepted:
-            run.trace.termination = DIVERGED
-            break
-    return _finish("newton", inst, c.beta, c.mu, run, divergent)
+    return _finish("newton", c.beta, c.mu, run, divergent)
 
 
 # ---------------------------------------------------------------------------

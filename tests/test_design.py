@@ -247,3 +247,15 @@ class TestTripletCsv:
         path.write_text("row,col,value\n0,0,1\nx,0,1\n")
         with pytest.raises(DesignError, match="bad.csv:3"):
             read_triplet_csv(path)
+
+    @pytest.mark.parametrize("record, n_rows, n_cols", [
+        ("-1,1,1", None, None),
+        ("0,-1,1", None, None),
+        ("3,0,1", 3, None),
+        ("0,2,1", None, 2),
+    ])
+    def test_out_of_range_index_reports_line(self, tmp_path, record, n_rows, n_cols):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"row,col,value\n0,0,1\n1,0,1\n2,1,1\n{record}\n")
+        with pytest.raises(DesignError, match="bad.csv:5"):
+            read_triplet_csv(path, n_rows=n_rows, n_cols=n_cols)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipscale import model as mdl
+from ipscale import solvers
 from ipscale.design import DesignMatrix
 from ipscale.model import ProblemInstance
 from ipscale.solvers import (
@@ -11,9 +12,13 @@ from ipscale.solvers import (
     SolverConfig,
     SolverError,
     TraceRecord,
+    _stop_reason,
+    _VARIANTS,
     a_ips_fit,
+    bips_fit,
     check_stop,
     ips_fit,
+    solve,
     x2_ips_fit,
 )
 
@@ -222,6 +227,59 @@ class TestCheckStop:
     def test_time_cap(self):
         cfg = SolverConfig(variant="ips", eps_tol=1e-12, t_max_secs=0.05)
         assert check_stop(self._trace(rel=0.5, wall=0.06), cfg)
+
+    @pytest.mark.parametrize("obj, rel", [
+        (np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_non_finite_record_diverges(self, obj, rel):
+        cfg = SolverConfig(variant="ips")
+        tr = ConvergenceTrace(g0_norm=1.0)
+        tr.records.append(TraceRecord(5, 0.1, 0.0, obj, rel))
+        assert check_stop(tr, cfg)
+        assert _stop_reason(tr.final(), cfg) == "diverged"
+
+
+class TestDriverContract:
+    """Every variant stops on the first record the stopping rule fires on."""
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_final_record_is_the_first_stop(self, variant, record_every):
+        inst = table_instance_3x3x3()
+        cfg = SolverConfig(variant=variant, eps_tol=1e-6, max_iters=3000,
+                           lam=2.0 if variant in ("l1-ips", "ridge-q-ips") else 0.0,
+                           record_every=record_every)
+        res = solve(inst, cfg)
+        *earlier, final = res.trace.records
+        assert check_stop(res.trace, cfg)
+        assert res.termination == _stop_reason(final, cfg)
+        assert not any(_stop_reason(r, cfg) for r in earlier)
+
+    def test_warm_start_at_own_optimum_stops_after_one_sweep(self):
+        # g0 is already at the float floor, so only the fixed-point exit can
+        # end this run before the iteration cap
+        inst = table_instance_3x3x3()
+        opt = bips_fit(inst, SolverConfig(variant="b-ips", eps_tol=1e-10)).beta
+        cfg = SolverConfig(variant="b-ips", beta_init=opt, max_iters=500)
+        res = bips_fit(inst, cfg)
+        assert res.termination == "tol_reached"
+        assert res.trace.final().iteration == 1
+        # the block solves stop on their gradient test: a true fixed point
+        assert res.flags["line_search_failures"] == 0
+        assert check_stop(res.trace, cfg)
+
+    def test_failed_block_solves_end_as_diverged(self, monkeypatch):
+        # every block's line search fails, so the sweep leaves the slopes
+        # unchanged: a stall, not a fixed point
+        monkeypatch.setattr(solvers, "_block_newton_profiled",
+                            lambda Xk, sk, mu_ring, *_: (np.zeros(len(sk)), mu_ring, 0.0, True))
+        inst = table_instance_3x3x3()
+        cfg = SolverConfig(variant="b-ips", max_iters=500)
+        res = bips_fit(inst, cfg)
+        assert res.termination == "diverged"
+        assert res.trace.final().iteration == 1
+        assert res.flags["line_search_failures"] > 0
+        assert check_stop(res.trace, cfg)
 
 
 class TestTraceContract:

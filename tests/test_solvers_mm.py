@@ -166,6 +166,17 @@ class TestParallelBlocks:
         with pytest.raises(SolverError, match="non-negative"):
             mm_parallel_fit(inst, SolverConfig(variant="mm-parallel"))
 
+    def test_failed_subproblems_end_as_diverged(self):
+        # every block's first Newton step overflows, so no step is accepted:
+        # the unchanged coefficients are a stall, not a fixed point
+        from ipscale import harness
+
+        inst = harness.gen_instance(harness.ExperimentSpec("nonneg-large", scale_factor=0.2))
+        res = mm_parallel_fit(inst, SolverConfig(variant="mm-parallel"))
+        assert res.termination == "diverged"
+        assert not res.converged
+        assert res.flags["block_step_failures"] > 0
+
     def test_block_sizes_must_partition(self):
         inst = random_nonneg_instance(37, n_cols=5)
         with pytest.raises(SolverError, match="sum to"):
