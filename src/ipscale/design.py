@@ -1,10 +1,16 @@
 """Design matrices for contingency-table and general log-affine models.
 
-Two storage layouts are supported behind one interface:
+A :class:`DesignMatrix` holds one matrix, and its kind decides the storage:
 
-* sparse binary (CSC; per-column sorted row indices, all values 1), used for
-  contingency-table and raking designs where only a column's support matters;
-* dense general (row-major float array) for non-negative or signed designs.
+* binary designs (contingency-table and raking designs, where only a
+  column's support matters) are a CSC array, per-column sorted row indices,
+  all values 1;
+* non-negative and signed designs are a dense row-major float array.
+
+The kind is read from the entries, and the storage chosen from it, in one
+place (``DesignMatrix._from_matrix``, shared by :meth:`DesignMatrix.from_dense`,
+:meth:`DesignMatrix.drop_rows` and :func:`read_triplet_csv`).  Every product
+is written with operators both storages share, so no caller branches on it.
 
 Cells of a multi-way table enumerate in row-major order of the factor
 levels, last factor fastest.  Dummy coding drops level 1 of every factor.
@@ -15,7 +21,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,25 +130,68 @@ class TableSchema:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass
-class DesignMatrix:
-    """N x p design with cached max absolute row sum and column labels.
+def _dense(A) -> np.ndarray:
+    """A design matrix, or a slice or product of one, as a dense array."""
+    return A.toarray() if sp.issparse(A) else np.ascontiguousarray(A)
 
-    Exactly one of ``csc`` (binary) or ``dense`` is set.  Immutable after
-    construction; all accessors are read-only and safe to share across
-    workers.
+
+def _c_contiguous(A):
+    """A slice of a design matrix in its storage, C-contiguous when dense:
+    numpy returns ``arr[:, cols]`` in Fortran order, and products of such a
+    block would sum in another order."""
+    return A if sp.issparse(A) else np.ascontiguousarray(A)
+
+
+def nnz(A) -> float:
+    """Stored entries of a design matrix or column block: the work-model size."""
+    return float(A.nnz) if sp.issparse(A) else float(A.size)
+
+
+def _classify(values: np.ndarray) -> str:
+    """Kind of a design from its entries (a sparse one's stored values)."""
+    if not np.all(np.isfinite(values)):
+        raise DesignError("design entries must be finite")
+    if np.all((values == 0.0) | (values == 1.0)):
+        return KIND_BINARY
+    return KIND_NON_NEGATIVE if np.all(values >= 0.0) else KIND_GENERAL
+
+
+def _slope_view(M):
+    """X[:, 1:] sharing the memory of M; for CSC, the arrays after column 0."""
+    if not sp.issparse(M):
+        return M[:, 1:]
+    a = M.indptr[1]
+    return sp.csc_array((M.data[a:], M.indices[a:], M.indptr[1:] - a),
+                        shape=(M.shape[0], M.shape[1] - 1))
+
+
+class DesignMatrix:
+    """N x p design held as one ``matrix``, with column labels and cached
+    row sums, intercept test and slope operator X[:, 1:].
+
+    ``matrix`` is a CSC array (sorted int64 indices, all values 1) when the
+    design is binary and a C-contiguous float array otherwise; the choice is
+    made by kind in :meth:`_from_matrix` and :meth:`_finalize_binary` alone.
+    The products use only operators both storages share, so callers never
+    see which one it is.  ``csc`` and ``dense`` are read-only views of
+    ``matrix`` for the storage it has.  Immutable after construction; all
+    accessors are read-only and safe to share across workers.
     """
 
-    n_rows: int
-    n_cols: int
-    kind: str
-    column_labels: list[str]
-    csc: sp.csc_array | None = None
-    dense: np.ndarray | None = None
-    row_sum_max: float = field(default=0.0)
-    _abs_row_sums: np.ndarray = field(default=None, repr=False)
-    _pos_dense: np.ndarray = field(default=None, repr=False)
-    _neg_dense: np.ndarray = field(default=None, repr=False)
+    def __init__(self, matrix, kind: str, labels=None):
+        self.matrix = matrix
+        self.kind = kind
+        self.column_labels = self._labels(labels, matrix.shape[1])
+        abs_matrix = abs(matrix)
+        self._abs_row_sums = abs_matrix.sum(axis=1)
+        if np.any(self._abs_row_sums == 0.0):
+            raise DesignError("design has an all-zero row")
+        if np.any(abs_matrix.sum(axis=0) == 0.0):
+            raise DesignError("design has an all-zero column")
+        self.row_sum_max = float(self._abs_row_sums.max())
+        self.has_intercept = bool(np.all(_dense(matrix[:, [0]]) == 1.0))
+        self._slope = _slope_view(matrix)
+        self._pos_neg = None
 
     # -- constructors -----------------------------------------------------
 
@@ -162,17 +212,16 @@ class DesignMatrix:
         arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
         if arr.ndim != 2:
             raise DesignError("design must be 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise DesignError("design entries must be finite")
-        is_binary = np.all((arr == 0.0) | (arr == 1.0))
-        if is_binary:
-            csc = sp.csc_array(arr)
-            return cls._finalize_binary(csc, labels)
-        kind = KIND_NON_NEGATIVE if np.all(arr >= 0.0) else KIND_GENERAL
-        n, p = arr.shape
-        obj = cls(n_rows=n, n_cols=p, kind=kind, column_labels=cls._labels(labels, p), dense=arr)
-        obj._validate()
-        return obj
+        return cls._from_matrix(arr, labels)
+
+    @classmethod
+    def _from_matrix(cls, A, labels) -> "DesignMatrix":
+        """Classify a sparse or dense float matrix by its entries and store it
+        as its kind requires: CSC when binary, dense otherwise."""
+        kind = _classify(A.data if sp.issparse(A) else A)
+        if kind == KIND_BINARY:
+            return cls._finalize_binary(sp.csc_array(A), labels)
+        return cls(_dense(A), kind, labels)
 
     @classmethod
     def _finalize_binary(cls, csc: sp.csc_array, labels) -> "DesignMatrix":
@@ -183,9 +232,7 @@ class DesignMatrix:
             csc = sp.csc_array(
                 (csc.data, csc.indices.astype(np.int64), csc.indptr.astype(np.int64)),
                 shape=(n, p))
-        obj = cls(n_rows=n, n_cols=p, kind=KIND_BINARY, column_labels=cls._labels(labels, p), csc=csc)
-        obj._validate()
-        return obj
+        return cls(csc, KIND_BINARY, labels)
 
     @staticmethod
     def _labels(labels, p) -> list[str]:
@@ -196,80 +243,70 @@ class DesignMatrix:
             raise DesignError("label count does not match column count")
         return labels
 
-    def _validate(self) -> None:
-        ars = self.abs_row_sums()
-        if np.any(ars == 0.0):
-            raise DesignError("design has an all-zero row")
-        col_nz = self._col_abs_sums()
-        if np.any(col_nz == 0.0):
-            raise DesignError("design has an all-zero column")
-        self.row_sum_max = float(ars.max())
-
     # -- accessors ---------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
+        return self.matrix.shape
+
+    @property
+    def n_rows(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def csc(self) -> sp.csc_array | None:
+        """``matrix`` when the design is binary, else None (read-only)."""
+        return self.matrix if self.kind == KIND_BINARY else None
+
+    @property
+    def dense(self) -> np.ndarray | None:
+        """``matrix`` when the design is not binary, else None (read-only)."""
+        return None if self.kind == KIND_BINARY else self.matrix
+
+    @property
+    def nnz(self) -> float:
+        return nnz(self.matrix)
 
     def abs_row_sums(self) -> np.ndarray:
         """Row sums of |x_ij|; the max is the design's scaling constant R."""
-        if self._abs_row_sums is None:
-            if self.csc is not None:
-                csr = self.csc.tocsr()
-                self._abs_row_sums = np.diff(csr.indptr).astype(np.float64)
-            else:
-                self._abs_row_sums = np.abs(self.dense).sum(axis=1)
         return self._abs_row_sums
 
-    def _col_abs_sums(self) -> np.ndarray:
-        if self.csc is not None:
-            return np.diff(self.csc.indptr).astype(np.float64)
-        return np.abs(self.dense).sum(axis=0)
-
-    @property
-    def has_intercept(self) -> bool:
-        """True when column 0 is identically one."""
-        if self.csc is not None:
-            return self.csc.indptr[1] == self.n_rows
-        col = self.dense[:, 0]
-        return bool(np.all(col == 1.0))
-
     def col_support(self, j: int) -> np.ndarray:
-        """Sorted row indices with x_ij != 0 (binary storage only)."""
-        if self.csc is None:
-            raise DesignError("col_support requires binary storage")
-        return self.csc.indices[self.csc.indptr[j]:self.csc.indptr[j + 1]]
+        """Sorted row indices with x_ij != 0 (binary designs only)."""
+        if self.kind != KIND_BINARY:
+            raise DesignError("col_support requires a binary design")
+        M = self.matrix
+        return M.indices[M.indptr[j]:M.indptr[j + 1]]
 
-    def col_dense(self, j: int) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[:, j]
-        out = np.zeros(self.n_rows)
-        out[self.col_support(j)] = 1.0
-        return out
+    def columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sorted row indices, values) of the nonzero entries of every column."""
+        M = sp.csc_array(self.matrix)
+        bounds = M.indptr.tolist()
+        return [(M.indices[a:b], M.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def col_dot(self, j: int, v: np.ndarray) -> float:
-        """Exact inner product <x_j, v>; a gather-sum on sparse storage."""
-        if self.csc is not None:
+        """Exact inner product <x_j, v>; a gather-sum on a binary design."""
+        if self.kind == KIND_BINARY:
             return float(v[self.col_support(j)].sum())
-        return float(self.dense[:, j] @ v)
+        return float(self.matrix[:, j] @ v)
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
-        if self.csc is not None:
-            return self.csc @ b
-        return self.dense @ b
+        return self.matrix @ b
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        if self.csc is not None:
-            return self.csc.T @ v
-        return self.dense.T @ v
+        return self.matrix.T @ v
 
     def slope_matvec(self, b_slope: np.ndarray) -> np.ndarray:
         """X[:, 1:] @ b_slope (intercept column excluded)."""
-        if self.csc is not None:
-            return self.csc[:, 1:] @ b_slope
-        return self.dense[:, 1:] @ b_slope
+        return self._slope @ b_slope
 
     def slope_rmatvec(self, v: np.ndarray) -> np.ndarray:
+        # not self._slope.T @ v: on dense designs that sums in another order
+        # than the full product, and the traces are pinned to this one
         return self.rmatvec(v)[1:]
 
     def slope_row_sums(self) -> np.ndarray:
@@ -278,56 +315,44 @@ class DesignMatrix:
         ones[0] = 0.0
         return self.matvec(ones)
 
-    def submatrix_dense(self, cols) -> np.ndarray:
-        cols = np.asarray(cols, dtype=np.int64)
-        if self.csc is not None:
-            return self.csc[:, cols].toarray()
-        return np.ascontiguousarray(self.dense[:, cols])
-
     def submatrix(self, cols):
-        """Column subset, sparse when the design is binary."""
-        cols = np.asarray(cols, dtype=np.int64)
-        if self.csc is not None:
-            return self.csc[:, cols]
-        return np.ascontiguousarray(self.dense[:, cols])
+        """Column subset, in the design's storage."""
+        return _c_contiguous(self.matrix[:, np.asarray(cols, dtype=np.int64)])
+
+    def submatrix_dense(self, cols) -> np.ndarray:
+        return _dense(self.submatrix(cols))
 
     def toarray(self) -> np.ndarray:
-        if self.csc is not None:
-            return self.csc.toarray()
-        return self.dense.copy()
+        """A dense copy of the matrix."""
+        arr = _dense(self.matrix)
+        return arr.copy() if arr is self.matrix else arr
 
     def pos_neg_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (positive part, negative part) of the matrix, both >= 0."""
-        if self._pos_dense is None:
-            arr = self.toarray()
-            self._pos_dense = np.where(arr > 0, arr, 0.0)
-            self._neg_dense = np.where(arr < 0, -arr, 0.0)
-        return self._pos_dense, self._neg_dense
+        if self._pos_neg is None:
+            arr = _dense(self.matrix)
+            self._pos_neg = (np.where(arr > 0, arr, 0.0), np.where(arr < 0, -arr, 0.0))
+        return self._pos_neg
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
         """Dense X^T diag(w) X."""
-        if self.csc is not None:
-            return (self.csc.T @ (self.csc.multiply(w[:, None]))).toarray()
-        return self.dense.T @ (w[:, None] * self.dense)
+        return gram(self.matrix, w)
 
     def gram_slope(self) -> np.ndarray:
         """Dense X[:,1:]^T X[:,1:]."""
-        if self.csc is not None:
-            slope = self.csc[:, 1:]
-            return (slope.T @ slope).toarray()
-        slope = self.dense[:, 1:]
-        return slope.T @ slope
+        return gram(self._slope)
 
     def col_sums(self) -> np.ndarray:
         return self.rmatvec(np.ones(self.n_rows))
 
     def drop_rows(self, keep: np.ndarray) -> "DesignMatrix":
-        """Design restricted to the kept rows; re-validated."""
-        keep = np.asarray(keep)
-        if self.csc is not None:
-            sub = sp.csc_array(self.csc[keep, :])
-            return DesignMatrix._finalize_binary(sub, self.column_labels)
-        return DesignMatrix.from_dense(self.dense[keep, :], self.column_labels)
+        """Design restricted to the kept rows; re-validated and re-classified."""
+        return DesignMatrix._from_matrix(self.matrix[np.asarray(keep), :], self.column_labels)
+
+
+def gram(A, w: np.ndarray | None = None) -> np.ndarray:
+    """Dense A^T diag(w) A of a design matrix or column block (A^T A without w)."""
+    return _dense(A.T @ (A if w is None else w[:, None] * A))
 
 
 # -- contingency-table designs ---------------------------------------------
@@ -498,24 +523,23 @@ def expected_column_count(schema: TableSchema) -> int:
 
 def write_triplet_csv(X: DesignMatrix, path) -> None:
     """Sparse triplet export: header ``row,col,value``, 0-based indices."""
+    coo = sp.coo_array(X.matrix)
+    order = np.lexsort((coo.col, coo.row))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row", "col", "value"])
-        if X.csc is not None:
-            coo = X.csc.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                w.writerow([int(i), int(j), format(float(v), ".17g")])
-        else:
-            for i in range(X.n_rows):
-                row = X.dense[i]
-                for j in np.nonzero(row)[0]:
-                    w.writerow([i, int(j), format(float(row[j]), ".17g")])
+        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+            w.writerow([int(i), int(j), format(float(v), ".17g")])
 
 
 def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatrix:
-    """Load a triplet CSV written by :func:`write_triplet_csv`."""
-    rows, cols, vals = [], [], []
+    """Load a triplet CSV written by :func:`write_triplet_csv`.
+
+    The entries go into a sparse array, and zero values are dropped; only a
+    design that is not binary is then densified, since dense is its storage.
+    A (row, col) pair given twice is an error.
+    """
+    rows, cols, vals = array("q"), array("q"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -536,8 +560,15 @@ def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatri
             vals.append(v)
     if not rows:
         raise DesignError(f"{path}: no entries")
-    n = n_rows if n_rows is not None else max(rows) + 1
-    p = n_cols if n_cols is not None else max(cols) + 1
-    arr = np.zeros((n, p))
-    arr[rows, cols] = vals
-    return DesignMatrix.from_dense(arr, labels)
+    rows, cols, vals = (np.frombuffer(a, dtype=a.typecode) for a in (rows, cols, vals))
+    n = n_rows if n_rows is not None else int(rows.max()) + 1
+    p = n_cols if n_cols is not None else int(cols.max()) + 1
+    key = rows * p + cols
+    order = np.argsort(key, kind="stable")
+    repeats = np.nonzero(key[order[1:]] == key[order[:-1]])[0]
+    if len(repeats):
+        k = order[repeats[0] + 1]
+        raise DesignError(f"{path}: entry ({rows[k]}, {cols[k]}) is given more than once")
+    nonzero = vals != 0.0
+    coo = sp.coo_array((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=(n, p))
+    return DesignMatrix._from_matrix(coo, labels)

@@ -149,14 +149,6 @@ class Coefficients:
             mu = inst.offset * np.exp(eta)
         return cls(beta=beta, mu=mu)
 
-    @property
-    def beta0(self) -> float:
-        return float(self.beta[0])
-
-    @property
-    def slope(self) -> np.ndarray:
-        return self.beta[1:]
-
     def drift(self, inst: ProblemInstance) -> float:
         """max_i |log(mu_i / q_i) - (X beta)_i| over rows with finite mu."""
         eta = inst.design.matvec(self.beta)
@@ -173,7 +165,7 @@ class Coefficients:
             self.mu = inst.offset * np.exp(eta)
 
 
-# -- objective, gradient, Hessian (original parametrization) -----------------
+# -- objective and gradient (original parametrization) ----------------------
 
 
 def neg_log_likelihood(inst: ProblemInstance, c: Coefficients) -> float:
@@ -187,11 +179,6 @@ def neg_log_likelihood(inst: ProblemInstance, c: Coefficients) -> float:
 def gradient(inst: ProblemInstance, c: Coefficients) -> np.ndarray:
     """X^T mu - X^T n."""
     return inst.design.rmatvec(c.mu) - inst.suff_stats
-
-
-def hessian(inst: ProblemInstance, c: Coefficients) -> np.ndarray:
-    """Dense X^T diag(mu) X."""
-    return inst.design.weighted_gram(c.mu)
 
 
 # -- intercept-profiled (reparametrized) objective ---------------------------

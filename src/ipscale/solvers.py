@@ -39,11 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import model as mdl
-from .design import KIND_BINARY, KIND_GENERAL
-from .model import Coefficients, ProblemInstance
+from .design import KIND_BINARY, KIND_GENERAL, _dense, gram, nnz
+from .model import BETA_CLAMP, Coefficients, ProblemInstance
 
 TOL_REACHED = "tol_reached"
 TIME_LIMIT = "time_limit"
@@ -51,6 +50,11 @@ ITER_LIMIT = "iter_limit"
 DIVERGED = "diverged"
 
 WORK_UNITS_PER_SECOND = 1e9
+
+# Stopping rule of the inner Newton solves of mm-parallel and b-ips: gradient
+# tolerance (relative to the subproblem's scale) and iteration cap.
+INNER_TOL = 1e-10
+INNER_MAX_ITERS = 50
 
 _VARIANTS = (
     "ips", "a-ips", "x2-ips", "mm-binary", "gis", "mm-general", "mm-parallel",
@@ -73,9 +77,6 @@ class SolverConfig:
     w_choice: str = "bohning"  # or "spectral"
     seed: int = 0
     beta_init: np.ndarray | None = None
-    clamp: float = mdl.BETA_CLAMP
-    inner_tol: float = 1e-10
-    inner_max_iters: int = 50
     record_every: int = 1
     track_g2: bool = False
     track_block_objective: bool = False
@@ -223,12 +224,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _nnz(design) -> float:
-    if design.csc is not None:
-        return float(design.csc.indptr[-1])
-    return float(design.n_rows * design.n_cols)
-
-
 def _est_error(beta: np.ndarray, beta_true: np.ndarray | None) -> float | None:
     if beta_true is None:
         return None
@@ -245,7 +240,7 @@ def _init_beta(cfg: SolverConfig, p: int) -> np.ndarray:
     b = np.asarray(cfg.beta_init, dtype=np.float64).copy()
     if b.shape != (p,):
         raise SolverError(f"beta_init must have length {p}")
-    return np.clip(b, -cfg.clamp, cfg.clamp)
+    return np.clip(b, -BETA_CLAMP, BETA_CLAMP)
 
 
 def _init_slope(cfg: SolverConfig, p: int) -> np.ndarray:
@@ -254,9 +249,9 @@ def _init_slope(cfg: SolverConfig, p: int) -> np.ndarray:
         return np.zeros(p - 1)
     b = np.asarray(cfg.beta_init, dtype=np.float64)
     if b.shape == (p - 1,):
-        return np.clip(b.copy(), -cfg.clamp, cfg.clamp)
+        return np.clip(b.copy(), -BETA_CLAMP, BETA_CLAMP)
     if b.shape == (p,):
-        return np.clip(b[1:].copy(), -cfg.clamp, cfg.clamp)
+        return np.clip(b[1:].copy(), -BETA_CLAMP, BETA_CLAMP)
     raise SolverError(f"beta_init must have length {p} or {p - 1}")
 
 
@@ -295,7 +290,7 @@ def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
     inst = fam.inst
     run = _Run(cfg)
     run.work += fam.setup_work
-    record_work = _nnz(inst.design) + inst.n_cols
+    record_work = inst.design.nnz + inst.n_cols
 
     def state():
         return fam.objective(), fam.grad_norm(), _est_error(fam.beta, inst.beta_true)
@@ -418,16 +413,16 @@ class _CDFamily(_RawState):
             raise SolverError("l1-ips needs an intercept as design column 0")
         super().__init__(inst, cfg)
         p = X.n_cols
-        self.clamp, self.pearson, self.lam = cfg.clamp, pearson, lam
+        self.pearson, self.lam = pearson, lam
         self.nsq = inst.counts * inst.counts if pearson else None
-        self.supports = [X.col_support(j) for j in range(p)]
+        self.supports = [rows for rows, _ in X.columns()]
         rng = _rng(cfg.seed)
         perm = perm_fn or (lambda rng, p: rng.permutation(p))
         self.order = (lambda: perm(rng, p)) if variant == "a-ips" else (lambda: range(p))
         self.track_g2 = bool(cfg.track_g2 and inst.counts is not None and X.has_intercept)
         if self.track_g2:
             self.diagnostics["g2_after_intercept"] = []
-        self.sweep_work = (3.0 if pearson else 2.0) * _nnz(X) + 3.0 * X.n_rows
+        self.sweep_work = (3.0 if pearson else 2.0) * X.nnz + 3.0 * X.n_rows
 
     def objective(self) -> float:
         if self.pearson:
@@ -447,7 +442,7 @@ class _CDFamily(_RawState):
         return super().grad_norm()
 
     def step(self, run: _Run) -> str:
-        beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, self.clamp, self.lam
+        beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP, self.lam
         pearson, nsq, supports, divergent = self.pearson, self.nsq, self.supports, self.divergent
         log, exp = np.log, np.exp
         order = self.order()
@@ -516,7 +511,7 @@ def l1_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
 
 
 def l1_threshold_update(j: int, beta_j: float, s_j: float, col_mu_sum: float,
-                        lam: float, clamp: float = mdl.BETA_CLAMP) -> float:
+                        lam: float, clamp: float = BETA_CLAMP) -> float:
     """Soft-thresholded coordinate update for a penalized binary column.
 
     Returns the new beta_j given the current column statistics; the zero
@@ -575,7 +570,7 @@ def _ratio_step(inst, beta, mu, step_size, B, divergent) -> None:
 
 
 def mm_binary_step(inst: ProblemInstance, c: Coefficients,
-                   clamp: float = mdl.BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+                   clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
     """Synchronized update beta += (1/p) log(X^T n / X^T mu) for binary designs."""
     if inst.design.kind != KIND_BINARY:
         raise SolverError("mm-binary requires a binary design")
@@ -584,7 +579,7 @@ def mm_binary_step(inst: ProblemInstance, c: Coefficients,
     return c
 
 def gis_step(inst: ProblemInstance, c: Coefficients,
-             clamp: float = mdl.BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+             clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
     """Synchronized update beta += (1/R) log(X^T n / X^T mu), R = max row sum."""
     if inst.design.kind == KIND_GENERAL:
         raise SolverError("gis requires a non-negative design")
@@ -594,7 +589,7 @@ def gis_step(inst: ProblemInstance, c: Coefficients,
 
 
 def mm_general_step(inst: ProblemInstance, c: Coefficients,
-                    clamp: float = mdl.BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+                    clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
     """Per-coordinate exact minimization of the signed-design surrogate.
 
     For each column, with a = <x_j+, mu>, b = <x_j, n>, c = <x_j-, mu>, the
@@ -650,8 +645,8 @@ def _auto_blocks(total: int, block_sizes, *, what: str) -> list[np.ndarray]:
 
 
 def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
-                     clamp: float = mdl.BETA_CLAMP, divergent: set | None = None,
-                     inner_tol: float = 1e-10, inner_max: int = 50,
+                     clamp: float = BETA_CLAMP, divergent: set | None = None,
+                     inner_tol: float = INNER_TOL, inner_max: int = INNER_MAX_ITERS,
                      flags: dict | None = None) -> Coefficients:
     """Simultaneous block update of the separable non-negative surrogate.
 
@@ -667,7 +662,7 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
     delta = np.zeros(X.n_cols)
     for cols in blocks:
         Xk = X.submatrix(cols)
-        rows_k = np.asarray(Xk.sum(axis=1)).ravel() if sp.issparse(Xk) else Xk.sum(axis=1)
+        rows_k = Xk.sum(axis=1)
         active = rows_k > 0.0
         r = np.zeros(X.n_rows)
         r[active] = rowsum[active] / rows_k[active]
@@ -684,11 +679,7 @@ def _surrogate_block_newton(Xk, sk, mu, r, active, inner_tol, inner_max):
     """Minimize -sk^T d + sum_i (mu_i / r_i) exp(r_i (Xk d)_i) over rows with
     block mass; returns (d, healthy)."""
     g = len(sk)
-    if sp.issparse(Xk):
-        Xa = Xk[np.nonzero(active)[0], :]
-        dense = Xa.toarray()
-    else:
-        dense = Xk[active, :]
+    dense = _dense(Xk[np.nonzero(active)[0], :])
     mua = mu[active]
     ra = r[active]
     base = mua / ra
@@ -746,13 +737,12 @@ class _MMFamily(_RawState):
         if variant == "mm-parallel":
             blocks = _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")
             self.update = lambda: mm_parallel_step(
-                inst, self.c, blocks, cfg.clamp, self.divergent,
-                cfg.inner_tol, cfg.inner_max_iters, self.flags)
+                inst, self.c, blocks, divergent=self.divergent, flags=self.flags)
         else:
             fn = {"mm-binary": mm_binary_step, "gis": gis_step, "mm-general": mm_general_step}[variant]
-            self.update = lambda: fn(inst, self.c, cfg.clamp, self.divergent)
+            self.update = lambda: fn(inst, self.c, divergent=self.divergent)
         N, p = X.n_rows, X.n_cols
-        self.step_work = 4.0 * _nnz(X) + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
+        self.step_work = 4.0 * X.nnz + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
 
     def step(self, run: _Run) -> str:
         before = self.c.beta.copy()
@@ -866,37 +856,27 @@ class _IisFamily(_ProfiledState):
         X = inst.design
         if X.kind == KIND_GENERAL:
             raise SolverError("iis requires a non-negative design")
-        p = X.n_cols
-        self.clamp = cfg.clamp
         self.rowsum = X.slope_row_sums()
-        self.supports = [X.col_support(j) if X.csc is not None else None for j in range(1, p)]
-        self.cols_dense = None if X.csc is not None else [X.dense[:, j] for j in range(1, p)]
-        self.nnz = _nnz(X)
+        self.columns = X.columns()[1:]
 
     def step(self, run: _Run) -> str:
         mu_ring, slope, rowsum = self.mu_ring, self.slope, self.rowsum
         k = self.total / float(mu_ring.sum())
         delta = np.zeros(len(slope))
-        for j in range(len(slope)):
-            if self.supports[j] is not None:
-                rows = self.supports[j]
-                coef = mu_ring[rows]
-            else:
-                colv = self.cols_dense[j]
-                rows = np.nonzero(colv)[0]
-                coef = colv[rows] * mu_ring[rows]
+        for j, (rows, vals) in enumerate(self.columns):
             d, clamped, evals = solve_scaling_equation(
-                coef, rowsum[rows], float(self.s_slope[j]), k, self.clamp, rel_tol=1e-12)
+                vals * mu_ring[rows], rowsum[rows], float(self.s_slope[j]), k, BETA_CLAMP,
+                rel_tol=1e-12)
             run.work += 2.0 * evals * len(rows)
             if clamped:
                 self.divergent.add(j + 1)
             delta[j] = d
-        new_slope = np.clip(slope + delta, -self.clamp, self.clamp)
+        new_slope = np.clip(slope + delta, -BETA_CLAMP, BETA_CLAMP)
         moved = not np.array_equal(new_slope, slope)
         with np.errstate(over="ignore"):
             mu_ring *= np.exp(self.inst.design.slope_matvec(new_slope - slope))
         slope[:] = new_slope
-        run.work += self.nnz
+        run.work += self.inst.design.nnz
         return _step_outcome(moved)
 
 
@@ -926,15 +906,13 @@ def profiled_scaling_sequence(inst: ProblemInstance, n_iters: int,
     total = inst.total_count
     s_slope = inst.suff_stats[1:]
     rowsum = X.slope_row_sums()
+    columns = X.columns()[1:]
     out = [slope.copy()]
     for _ in range(n_iters):
         k = total / float(mu_ring.sum())
         delta = np.zeros(X.n_cols - 1)
-        for j in range(X.n_cols - 1):
-            colv = X.col_dense(j + 1)
-            rows = np.nonzero(colv)[0]
-            coef = colv[rows] * mu_ring[rows]
-            d, _, _ = solve_scaling_equation(coef, rowsum[rows], float(s_slope[j]), k, 1e6)
+        for j, (rows, vals) in enumerate(columns):
+            d, _, _ = solve_scaling_equation(vals * mu_ring[rows], rowsum[rows], float(s_slope[j]), k, 1e6)
             delta[j] = d
         slope = slope + delta
         mu_ring = mu_ring * np.exp(X.slope_matvec(delta))
@@ -959,13 +937,12 @@ def normalized_scaling_sequence(inst: ProblemInstance, n_iters: int,
     mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
     mu_bar = mu_ring / float(mu_ring.sum())
     rowsum = X.slope_row_sums()
+    columns = X.columns()[1:]
     out = [slope.copy()]
     for _ in range(n_iters):
         delta = np.zeros(X.n_cols - 1)
-        for j in range(X.n_cols - 1):
-            colv = X.col_dense(j + 1)
-            rows = np.nonzero(colv)[0]
-            coef = colv[rows] * mu_bar[rows]
+        for j, (rows, vals) in enumerate(columns):
+            coef = vals * mu_bar[rows]
             expo = rowsum[rows]
             rhs = float(nbar_stats[j])
 
@@ -1064,13 +1041,12 @@ class _QipsFamily(_ProfiledState):
         super().__init__(inst, cfg, "q-ips")
         X = inst.design
         self.lam = cfg.lam if cfg.variant == "ridge-q-ips" else 0.0
-        self.clamp = cfg.clamp
         self.eta_aux = self.slope.copy()
         self.theta = 1.0
         self.W = _WOperator(inst, cfg.w_choice, self.lam)
         N, p = X.n_rows, X.n_cols
         self.setup_work = float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
-        self.step_work = 3.0 * _nnz(X) + 6.0 * N \
+        self.step_work = 3.0 * X.nnz + 6.0 * N \
             + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
         self.bad_streak = 0
         self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired,
@@ -1095,7 +1071,7 @@ class _QipsFamily(_ProfiledState):
         return g
 
     def step(self, run: _Run) -> str:
-        X, B, lam, theta, slope = self.inst.design, self.clamp, self.lam, self.theta, self.slope
+        X, B, lam, theta, slope = self.inst.design, BETA_CLAMP, self.lam, self.theta, self.slope
         alpha = (1.0 - theta) * slope + theta * self.eta_aux
         w, _ = mdl._log_offset_weights(self.inst, alpha)
         g_alpha = -self.s_slope + self.total * X.slope_rmatvec(w)
@@ -1158,13 +1134,12 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
     """Newton minimization of the profiled objective in one slope block.
 
     Objective in the block step d:  -sk^T d + total * log <1, mu o exp(Xk d)>.
-    Keeps the block submatrix sparse when it is; returns
+    Keeps the block submatrix in the design's storage; returns
     (d, mu_new, work, line_search_failed).
     """
     g = len(sk)
-    sparse_k = sp.issparse(Xk)
     N = Xk.shape[0]
-    block_nnz = float(Xk.nnz) if sparse_k else float(N * g)
+    block_nnz = nnz(Xk)
     d = np.zeros(g)
     mu_loc = mu_ring.copy()
     S = float(mu_loc.sum())
@@ -1178,11 +1153,7 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
         work += 2.0 * block_nnz
         if float(np.max(np.abs(gk))) <= scale:
             break
-        w = mu_loc / S
-        if sparse_k:
-            A = (Xk.T @ Xk.multiply(w[:, None])).toarray()
-        else:
-            A = Xk.T @ (w[:, None] * Xk)
+        A = gram(Xk, mu_loc / S)
         H = total * (A - np.outer(u / S, u / S))
         work += block_nnz * g + g**3 / 3.0
         step = _solve_psd(H, gk)
@@ -1236,11 +1207,11 @@ class _BipsFamily(_ProfiledState):
             off += gsize
             Xk = X.submatrix(cols + 1)
             d, mu_new, work, failed = _block_newton_profiled(
-                Xk, self.s_slope[cols], self.mu_ring, self.total, cfg.inner_tol, cfg.inner_max_iters)
+                Xk, self.s_slope[cols], self.mu_ring, self.total, INNER_TOL, INNER_MAX_ITERS)
             run.work += work
             if failed:
                 self.flags["line_search_failures"] += 1
-            new_vals = np.clip(slope[cols] + d, -cfg.clamp, cfg.clamp)
+            new_vals = np.clip(slope[cols] + d, -BETA_CLAMP, BETA_CLAMP)
             if not np.array_equal(new_vals, slope[cols] + d):
                 hit = np.nonzero(new_vals != slope[cols] + d)[0]
                 self.divergent.update(int(cols[h]) + 1 for h in hit)
@@ -1284,7 +1255,6 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
     beta = _init_beta(cfg, p)
     c = Coefficients.from_beta(inst, beta)
     N = X.n_rows
-    nnz = _nnz(X)
     divergent: set[int] = set()
 
     def objective() -> float:
@@ -1310,7 +1280,7 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
         t = 1.0
         accepted = False
         for _ in range(50):
-            trial = np.clip(c.beta + t * direction, -cfg.clamp, cfg.clamp)
+            trial = np.clip(c.beta + t * direction, -BETA_CLAMP, BETA_CLAMP)
             c_try = Coefficients.from_beta(inst, trial)
             f_try = mdl.neg_log_likelihood(inst, c_try)
             if np.isfinite(f_try) and f_try <= f + 1e-4 * t * gd:
@@ -1319,13 +1289,13 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
             t *= 0.5
         run.work += float(N) * p * p + p**3 / 3.0
         if accepted:
-            if np.any(np.abs(trial) >= cfg.clamp):
-                divergent.update(int(j) for j in np.nonzero(np.abs(trial) >= cfg.clamp)[0])
+            if np.any(np.abs(trial) >= BETA_CLAMP):
+                divergent.update(int(j) for j in np.nonzero(np.abs(trial) >= BETA_CLAMP)[0])
             c = c_try
             f = f_try
         it += 1
         g = grad()
-        run.work += nnz + p
+        run.work += X.nnz + p
         # a rejected step leaves the iterate unchanged and ends the run as diverged
         if run.record(it, f, float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true),
                       _step_outcome(accepted, failed=not accepted)):

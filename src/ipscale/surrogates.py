@@ -9,7 +9,6 @@ and give an independent route to the solver update formulas.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import model as mdl
 from .design import KIND_GENERAL
@@ -71,10 +70,11 @@ def surrogate_block(inst: ProblemInstance, beta, beta_ref, blocks) -> float:
     rowsum = X.abs_row_sums()
     total = 0.0
     for cols in blocks:
-        Xk = X.submatrix(np.asarray(cols))
-        rows_k = np.asarray(Xk.sum(axis=1)).ravel() if sp.issparse(Xk) else Xk.sum(axis=1)
+        cols = np.asarray(cols)
+        Xk = X.submatrix(cols)
+        rows_k = Xk.sum(axis=1)
         active = rows_k > 0.0
-        z = np.asarray(Xk @ (beta[np.asarray(cols)] - beta_ref[np.asarray(cols)])).ravel()
+        z = Xk @ (beta[cols] - beta_ref[cols])
         ratio = rowsum[active] / rows_k[active]
         total += float(((rows_k[active] / rowsum[active]) * mu[active]
                         * np.exp(ratio * z[active])).sum())

@@ -131,6 +131,16 @@ class TestFit:
         assert code == 1
         assert "design.csv:5" in capsys.readouterr().err
 
+    def test_repeated_triplet_entry_rejected(self, tmp_path, capsys):
+        dpath = tmp_path / "design.csv"
+        dpath.write_text("row,col,value\n0,0,1\n1,0,1\n2,0,1\n1,1,1\n1,1,1\n")
+        npath = tmp_path / "n.csv"
+        npath.write_text("row,count\n0,3\n1,4\n2,5\n")
+        code = run_cli("fit", "--design", str(dpath), "--counts-vec", str(npath),
+                       "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "entry (1, 1)" in capsys.readouterr().err
+
     def test_missing_inputs_rejected(self, tmp_path):
         assert run_cli("fit", "--out-dir", str(tmp_path)) == 1
 

@@ -1,9 +1,11 @@
 """Design construction, accessors, and file interchange."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -242,6 +244,31 @@ class TestTripletCsv:
         with pytest.raises(DesignError, match="header"):
             read_triplet_csv(path)
 
+    @pytest.mark.parametrize("record", ["0,0,1", "0,0,2"])
+    def test_repeated_entry_rejected(self, tmp_path, record):
+        # summing would turn a binary design into a non-binary one, and the
+        # last record winning would drop data without a word
+        path = tmp_path / "bad.csv"
+        path.write_text(f"row,col,value\n0,0,1\n1,0,1\n1,1,1\n{record}\n")
+        with pytest.raises(DesignError, match=r"entry \(0, 0\) is given more than once"):
+            read_triplet_csv(path)
+
+    def test_binary_read_stays_sparse_in_memory(self, tmp_path):
+        # the 10^4 x 523 moderate table; a dense n x p read alone is 41.8 MB
+        X = build_table_design(TableSchema(tuple((f"f{i}", 10) for i in range(4)), 2))
+        path = tmp_path / "design.csv"
+        write_triplet_csv(X, path)
+        tracemalloc.start()
+        try:
+            Y = read_triplet_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 250 * X.nnz, f"{peak / X.nnz:.0f} bytes per stored entry"
+        assert Y.kind == "binary"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(Y.matrix, name), getattr(X.matrix, name))
+
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("row,col,value\n0,0,1\nx,0,1\n")
@@ -259,3 +286,82 @@ class TestTripletCsv:
         path.write_text(f"row,col,value\n0,0,1\n1,0,1\n2,1,1\n{record}\n")
         with pytest.raises(DesignError, match="bad.csv:5"):
             read_triplet_csv(path, n_rows=n_rows, n_cols=n_cols)
+
+
+def _storage_design(kind: str) -> DesignMatrix:
+    if kind == "binary":
+        return build_table_design(TableSchema(factors=(("a", 3), ("b", 4), ("c", 2)), interaction_order=2))
+    rng = make_rng(17)
+    n = 40
+    slopes = rng.uniform(0.0, 0.6, size=(n, 5)) if kind == "non_negative" else rng.normal(0.0, 0.4, size=(n, 5))
+    return DesignMatrix.from_dense(np.hstack([np.ones((n, 1)), slopes]))
+
+
+def _close(got, want) -> bool:
+    got = got.toarray() if sp.issparse(got) else np.asarray(got)
+    want = np.asarray(want)
+    return got.shape == want.shape and \
+        float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestDesignContract:
+    """The same accessors on both storages: a binary CSC design and dense ones."""
+
+    @pytest.fixture(params=["binary", "non_negative", "general"])
+    def design(self, request):
+        X = _storage_design(request.param)
+        assert X.kind == request.param
+        return X
+
+    def test_storage_follows_kind(self, design):
+        M = design.matrix
+        if design.kind == "binary":
+            assert isinstance(M, sp.csc_array) and M.indices.dtype == np.int64
+            assert design.csc is M and design.dense is None
+        else:
+            assert isinstance(M, np.ndarray) and M.flags["C_CONTIGUOUS"] and M.dtype == np.float64
+            assert design.dense is M and design.csc is None
+
+    def test_products_match_dense_products(self, design):
+        A = design.toarray()
+        n, p = A.shape
+        rng = make_rng(23)
+        b, v, w = rng.normal(size=p), rng.normal(size=n), rng.uniform(0.5, 2.0, size=n)
+        cols = np.array([p - 1, 0, 2])
+        checks = {
+            "matvec": (design.matvec(b), A @ b),
+            "rmatvec": (design.rmatvec(v), A.T @ v),
+            "slope_matvec": (design.slope_matvec(b[1:]), A[:, 1:] @ b[1:]),
+            "slope_rmatvec": (design.slope_rmatvec(v), A[:, 1:].T @ v),
+            "slope_row_sums": (design.slope_row_sums(), A[:, 1:].sum(axis=1)),
+            "col_sums": (design.col_sums(), A.sum(axis=0)),
+            "abs_row_sums": (design.abs_row_sums(), np.abs(A).sum(axis=1)),
+            "row_sum_max": (design.row_sum_max, np.abs(A).sum(axis=1).max()),
+            "weighted_gram": (design.weighted_gram(w), A.T @ (w[:, None] * A)),
+            "gram_slope": (design.gram_slope(), A[:, 1:].T @ A[:, 1:]),
+            "submatrix": (design.submatrix(cols), A[:, cols]),
+            "submatrix_dense": (design.submatrix_dense(cols), A[:, cols]),
+            "pos_part": (design.pos_neg_parts()[0], np.maximum(A, 0.0)),
+            "neg_part": (design.pos_neg_parts()[1], np.maximum(-A, 0.0)),
+            "col_dot": ([design.col_dot(j, v) for j in range(p)], A.T @ v),
+        }
+        bad = [name for name, (got, want) in checks.items() if not _close(got, want)]
+        assert bad == []
+        assert isinstance(design.submatrix_dense(cols), np.ndarray)
+        assert design.has_intercept
+        for j, (rows, vals) in enumerate(design.columns()):
+            assert np.array_equal(rows, np.nonzero(A[:, j])[0])
+            assert np.array_equal(vals, A[rows, j])
+
+    def test_slope_matvec_is_the_slope_block_product(self, design):
+        p = design.n_cols
+        b = make_rng(29).normal(size=p - 1)
+        assert np.array_equal(design.slope_matvec(b), design.submatrix(np.arange(1, p)) @ b)
+
+    def test_drop_rows_keeps_storage(self, design):
+        keep = np.arange(1, design.n_rows)
+        Y = design.drop_rows(keep)
+        assert Y.kind == design.kind
+        assert type(Y.matrix) is type(design.matrix)
+        assert np.array_equal(Y.toarray(), design.toarray()[keep])
+        assert Y.column_labels == design.column_labels
