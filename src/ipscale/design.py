@@ -23,6 +23,7 @@ import itertools
 import json
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +69,11 @@ class TableSchema:
             n_cells *= m
             if n_cells > MAX_CELLS:
                 raise DesignError(f"table has more than {MAX_CELLS} cells")
+        # computed once: the per-cell conversions below run once per table cell
+        strides = [1] * len(self.factors)
+        for k in range(len(strides) - 2, -1, -1):
+            strides[k] = strides[k + 1] * self.factors[k + 1][1]
+        object.__setattr__(self, "_strides", tuple(strides))
 
     @property
     def n_factors(self) -> int:
@@ -82,20 +88,15 @@ class TableSchema:
 
     def strides(self) -> np.ndarray:
         """Cell-index stride of each factor (last factor fastest)."""
-        ms = [m for _, m in self.factors]
-        out = np.ones(len(ms), dtype=np.int64)
-        for k in range(len(ms) - 2, -1, -1):
-            out[k] = out[k + 1] * ms[k + 1]
-        return out
+        return np.array(self._strides, dtype=np.int64)
 
     def cell_levels(self, index: int) -> tuple[int, ...]:
         """1-based factor levels of the cell at a flat index."""
-        strides = self.strides()
-        return tuple(int(index // strides[k]) % m + 1 for k, (_, m) in enumerate(self.factors))
+        return tuple(int(index // s) % m + 1 for s, (_, m) in zip(self._strides, self.factors))
 
     def cell_index(self, levels) -> int:
         """Flat index of a cell given 1-based factor levels."""
-        strides = self.strides()
+        strides = self._strides
         idx = 0
         for k, (name, m) in enumerate(self.factors):
             lev = int(levels[k])
@@ -322,6 +323,10 @@ class DesignMatrix:
     def submatrix_dense(self, cols) -> np.ndarray:
         return _dense(self.submatrix(cols))
 
+    def column_block(self, cols) -> "ColumnBlock":
+        """Column subset as an operator for repeated products and Grams."""
+        return ColumnBlock(self.submatrix(cols))
+
     def toarray(self) -> np.ndarray:
         """A dense copy of the matrix."""
         arr = _dense(self.matrix)
@@ -353,6 +358,70 @@ class DesignMatrix:
 def gram(A, w: np.ndarray | None = None) -> np.ndarray:
     """Dense A^T diag(w) A of a design matrix or column block (A^T A without w)."""
     return _dense(A.T @ (A if w is None else w[:, None] * A))
+
+
+class ColumnBlock:
+    """A column block of a design, in its storage, built once and then used
+    for several products: b-ips takes a few Newton steps on every block.
+
+    On a binary block, ``gram(w)`` reads a pair index built at its first
+    call (a block whose first gradient check already passes needs none): the
+    row and the position ``j * g + k`` of every pair of entries j < k in one
+    row, rows ascending.  One ``np.bincount`` of ``w`` over it gives the upper
+    triangle and ``rmatvec(w)`` the diagonal.  Each entry then sums its rows
+    in ascending order, as the sparse matmat of :func:`gram` does, so both
+    give the same bits.  When the index would hold more pairs than the
+    densified block has entries (N * g), and on dense blocks, ``gram`` is
+    :func:`gram`.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.nnz = nnz(matrix)
+        self._transpose = matrix.T
+
+    @cached_property
+    def _pairs(self):
+        return _pair_index(self.matrix) if sp.issparse(self.matrix) else None
+
+    def matvec(self, d: np.ndarray) -> np.ndarray:
+        return self.matrix @ d
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        return self._transpose @ v
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """Dense block^T diag(w) block."""
+        if self._pairs is None:
+            return gram(self.matrix, w)
+        rows, keys = self._pairs
+        g = self.shape[1]
+        upper = np.bincount(keys, weights=w[rows], minlength=g * g).reshape(g, g)
+        # with no pairs at all, bincount returns integer zeros
+        upper = upper.astype(np.float64, copy=False)
+        out = upper + upper.T
+        out.flat[::g + 1] = self.rmatvec(w)
+        return out
+
+
+def _pair_index(A):
+    """(rows, keys) of the pairs of entries j < k in one row of a binary CSC
+    block, in row-major order, or None when there are more than N * g."""
+    n_rows, g = A.shape
+    R = A.tocsr()  # entries in row order, columns ascending within a row
+    counts = np.diff(R.indptr)
+    per_row = counts * (counts - 1) // 2
+    n_pairs = int(per_row.sum())
+    if n_pairs > n_rows * g:
+        return None
+    entry = np.arange(len(R.indices))
+    # entry e pairs with the `after[e]` entries that follow it in its row
+    after = np.repeat(R.indptr[1:], counts) - entry - 1
+    start = np.cumsum(after) - after
+    partner = np.arange(n_pairs) - np.repeat(start - entry - 1, after)
+    col = R.indices
+    return np.repeat(np.arange(n_rows), per_row), np.repeat(col * g, after) + col[partner]
 
 
 # -- contingency-table designs ---------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from . import model as mdl
-from .design import KIND_BINARY, KIND_GENERAL, _dense, gram, nnz
+from .design import KIND_BINARY, KIND_GENERAL, _dense
 from .model import BETA_CLAMP, Coefficients, ProblemInstance
 
 TOL_REACHED = "tol_reached"
@@ -1134,12 +1134,13 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
     """Newton minimization of the profiled objective in one slope block.
 
     Objective in the block step d:  -sk^T d + total * log <1, mu o exp(Xk d)>.
-    Keeps the block submatrix in the design's storage; returns
+    ``Xk`` is the block's :class:`~ipscale.design.ColumnBlock`, built once
+    per visit and used for every Newton step; returns
     (d, mu_new, work, line_search_failed).
     """
     g = len(sk)
     N = Xk.shape[0]
-    block_nnz = nnz(Xk)
+    block_nnz = Xk.nnz
     d = np.zeros(g)
     mu_loc = mu_ring.copy()
     S = float(mu_loc.sum())
@@ -1148,12 +1149,12 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
     work = 0.0
     failed = False
     for _ in range(inner_max):
-        u = Xk.T @ mu_loc
+        u = Xk.rmatvec(mu_loc)
         gk = -sk + total * (u / S)
         work += 2.0 * block_nnz
         if float(np.max(np.abs(gk))) <= scale:
             break
-        A = gram(Xk, mu_loc / S)
+        A = Xk.gram(mu_loc / S)
         H = total * (A - np.outer(u / S, u / S))
         work += block_nnz * g + g**3 / 3.0
         step = _solve_psd(H, gk)
@@ -1162,7 +1163,7 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
         t = 1.0
         accepted = False
         for _ in range(30):
-            z = Xk @ (t * direction)
+            z = Xk.matvec(t * direction)
             with np.errstate(over="ignore"):
                 mu_try = mu_loc * np.exp(z)
             S_try = float(mu_try.sum())
@@ -1205,7 +1206,7 @@ class _BipsFamily(_ProfiledState):
         for gsize in self.sizes:
             cols = perm[off:off + gsize]
             off += gsize
-            Xk = X.submatrix(cols + 1)
+            Xk = X.column_block(cols + 1)
             d, mu_new, work, failed = _block_newton_profiled(
                 Xk, self.s_slope[cols], self.mu_ring, self.total, INNER_TOL, INNER_MAX_ITERS)
             run.work += work
@@ -1217,7 +1218,7 @@ class _BipsFamily(_ProfiledState):
                 self.divergent.update(int(cols[h]) + 1 for h in hit)
                 extra = new_vals - slope[cols] - d
                 with np.errstate(over="ignore"):
-                    mu_new = mu_new * np.exp(Xk @ extra)
+                    mu_new = mu_new * np.exp(Xk.matvec(extra))
             slope[cols] = new_vals
             self.mu_ring = mu_new
             if cfg.track_block_objective:

@@ -17,6 +17,8 @@ from ipscale.design import (
     build_raking_design,
     build_table_design,
     expected_column_count,
+    gram,
+    nnz,
     read_triplet_csv,
     write_triplet_csv,
 )
@@ -365,3 +367,74 @@ class TestDesignContract:
         assert type(Y.matrix) is type(design.matrix)
         assert np.array_equal(Y.toarray(), design.toarray()[keep])
         assert Y.column_labels == design.column_labels
+
+
+@st.composite
+def _binary_blocks(draw):
+    """A binary design (intercept first, every column used) and a block of
+    its columns; optionally one row holds every column."""
+    n = draw(st.integers(1, 10))
+    p = draw(st.integers(2, 8))
+    arr = np.array(draw(st.lists(st.lists(st.booleans(), min_size=p, max_size=p),
+                                 min_size=n, max_size=n)), dtype=float)
+    arr[:, 0] = 1.0
+    if draw(st.booleans()):
+        arr[draw(st.integers(0, n - 1)), :] = 1.0
+    arr[0, ~arr.any(axis=0)] = 1.0
+    cols = draw(st.permutations(range(p)))[:draw(st.integers(1, p))]
+    return DesignMatrix.from_dense(arr), np.array(cols)
+
+
+def _block_products(X, cols, seed):
+    rng = make_rng(seed)
+    w = rng.uniform(0.1, 3.0, size=X.n_rows)
+    d, v = rng.normal(size=len(cols)), rng.normal(size=X.n_rows)
+    S = X.submatrix(cols)
+    blk = X.column_block(cols)
+    got = (blk.gram(w), blk.matvec(d), blk.rmatvec(v))
+    want = (gram(S, w), S @ d, S.T @ v)
+    return blk, S, got, want
+
+
+class TestColumnBlock:
+    """The column-block operator against the products of ``submatrix``."""
+
+    @given(_binary_blocks(), st.integers(0, 2**16))
+    def test_binary_block_matches_submatrix_products(self, design_cols, seed):
+        X, cols = design_cols
+        assert X.kind == "binary"
+        blk, S, got, want = _block_products(X, cols, seed)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+        assert blk.shape == S.shape and blk.nnz == nnz(S)
+        per_row = np.diff(S.tocsr().indptr)
+        guarded = (per_row * (per_row - 1) // 2).sum() > S.shape[0] * S.shape[1]
+        assert (blk._pairs is None) == guarded
+
+    def test_binary_edge_blocks(self):
+        # empty rows, a single column, a row holding every block column, and
+        # a full block whose pair count exceeds N * g, which falls back
+        arr = np.array([[1, 1, 0, 0, 0, 1],
+                        [1, 0, 0, 0, 0, 1],
+                        [1, 1, 1, 1, 1, 0],
+                        [1, 0, 1, 0, 1, 1],
+                        [1, 1, 1, 1, 1, 1]], dtype=float)
+        X = DesignMatrix.from_dense(arr)
+        for cols, guarded in [([2, 3], False), ([4], False), ([4, 1, 2, 3], False),
+                              ([0], False), ([0, 1, 2, 3, 4, 5], True)]:
+            blk, _, got, want = _block_products(X, np.array(cols), 31)
+            assert (blk._pairs is None) == guarded
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @given(st.integers(1, 12), st.integers(2, 7), st.integers(0, 2**16), st.data())
+    def test_dense_block_is_bitwise_today(self, n, p, seed, data):
+        rng = make_rng(seed)
+        arr = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p - 1))])
+        X = DesignMatrix.from_dense(arr)
+        assert X.kind != "binary"
+        cols = np.array(data.draw(st.permutations(range(p))))[:data.draw(st.integers(1, p))]
+        blk, S, got, want = _block_products(X, cols, seed)
+        assert isinstance(blk.matrix, np.ndarray) and blk.matrix.flags["C_CONTIGUOUS"]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert blk.nnz == nnz(S)
