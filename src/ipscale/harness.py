@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import model as mdl
 from .design import DesignMatrix, TableSchema, build_table_design, write_triplet_csv
-from .model import ProblemInstance
+from .model import ProblemInstance, philox_rng
 from .solvers import FitResult, SolverConfig, l1_ips_fit, solve
 
 SCENARIOS = (
@@ -31,6 +31,9 @@ SCENARIOS = (
 )
 
 AR1_RHO = 0.8
+
+# Points of the common time grid that run_experiment averages traces on.
+GRID_POINTS = 101
 
 
 class HarnessError(ValueError):
@@ -65,20 +68,7 @@ class ExperimentSpec:
             raise HarnessError("table_setting must be 1 or 2")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "scenario": self.scenario,
-            "replications": self.replications,
-            "scale_factor": self.scale_factor,
-            "roster": list(self.roster),
-            "seed": self.seed,
-            "eps_tol": self.eps_tol,
-            "t_max_secs": self.t_max_secs,
-            "max_iters": self.max_iters,
-            "table_setting": self.table_setting,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-        }
+        return {"schema": 1, **asdict(self), "roster": list(self.roster)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -99,12 +89,8 @@ class ExperimentSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _instance_rng(spec: ExperimentSpec, replication: int) -> np.random.Generator:
-    return _rng(spec.seed * 1_000_003 + replication)
+    return philox_rng(spec.seed * 1_000_003 + replication)
 
 
 # -- design pipelines ---------------------------------------------------------
@@ -333,7 +319,7 @@ def _run_replication(spec: ExperimentSpec, replication: int) -> list[tuple[str, 
 
 
 def run_experiment(spec: ExperimentSpec, wall_clock: bool = False,
-                   jobs: int = 1, grid_points: int = 101) -> ExperimentReport:
+                   jobs: int = 1) -> ExperimentReport:
     """Run the roster over replications and average traces on a time grid."""
     per_rep: list[list[tuple[str, FitResult | None, str]]] = []
     if jobs > 1:
@@ -368,10 +354,10 @@ def run_experiment(spec: ExperimentSpec, wall_clock: bool = False,
                                            np.nan, np.nan, {}))
             continue
         horizon = max(times_of(r)[-1] for r in fits)
-        grid = np.linspace(0.0, horizon, grid_points)
-        rel = np.zeros(grid_points)
+        grid = np.linspace(0.0, horizon, GRID_POINTS)
+        rel = np.zeros(GRID_POINTS)
         have_est = all(r.trace.records[0].est_error is not None for r in fits)
-        est = np.zeros(grid_points) if have_est else None
+        est = np.zeros(GRID_POINTS) if have_est else None
         for res in fits:
             t = times_of(res)
             rg = res.trace.rel_gradients()

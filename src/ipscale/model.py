@@ -31,6 +31,15 @@ class ModelError(ValueError):
     """Contract violation in model construction or evaluation."""
 
 
+def philox_rng(seed: int) -> np.random.Generator:
+    """The package's random generator for a seed.
+
+    Philox is counter-based with a fixed published algorithm, so its
+    streams reproduce across platforms; permutations are Fisher-Yates.
+    """
+    return np.random.Generator(np.random.Philox(seed))
+
+
 @dataclass
 class ProblemInstance:
     """Counts, offset, and design, with the sufficient statistics cached.
@@ -61,22 +70,7 @@ class ProblemInstance:
         if not np.any(counts > 0):
             raise ModelError("counts are identically zero")
         n_orig = design.n_rows
-        if offset is None:
-            offset = np.ones(n_orig)
-        else:
-            offset = np.asarray(offset, dtype=np.float64)
-            if offset.shape != (n_orig,):
-                raise ModelError("offset length does not match design rows")
-            if np.any(offset < 0) or not np.all(np.isfinite(offset)):
-                raise ModelError("offset must be finite and non-negative")
-        keep = offset > 0
-        if not np.all(keep):
-            if np.any(counts[~keep] > 0):
-                raise ModelError("positive count at a zero-offset row has no finite-likelihood fit")
-            design = design.drop_rows(np.nonzero(keep)[0])
-            counts = counts[keep]
-            offset = offset[keep]
-        kept = np.nonzero(keep)[0]
+        design, offset, counts, kept = cls._drop_zero_offset_rows(design, offset, counts)
         s = design.rmatvec(counts)
         if beta_true is not None:
             beta_true = np.asarray(beta_true, dtype=np.float64)
@@ -92,6 +86,19 @@ class ProblemInstance:
         if s.shape != (design.n_cols,):
             raise ModelError("suff_stats length does not match design columns")
         n_orig = design.n_rows
+        design, offset, _, kept = cls._drop_zero_offset_rows(design, offset)
+        return cls(design=design, counts=None, offset=offset, suff_stats=s,
+                   kept_rows=kept, n_rows_original=n_orig)
+
+    @staticmethod
+    def _drop_zero_offset_rows(design: DesignMatrix, offset, counts=None):
+        """Check the offset (ones when None) and drop its zero rows.
+
+        Returns (design, offset, counts, kept) restricted to the rows with a
+        positive offset, ``kept`` holding their original indices.  A positive
+        count at a dropped row is an error.
+        """
+        n_orig = design.n_rows
         if offset is None:
             offset = np.ones(n_orig)
         else:
@@ -102,11 +109,13 @@ class ProblemInstance:
                 raise ModelError("offset must be finite and non-negative")
         keep = offset > 0
         kept = np.nonzero(keep)[0]
-        if not np.all(keep):
+        if len(kept) < n_orig:
+            if counts is not None and np.any(counts[~keep] > 0):
+                raise ModelError("positive count at a zero-offset row has no finite-likelihood fit")
             design = design.drop_rows(kept)
             offset = offset[keep]
-        return cls(design=design, counts=None, offset=offset, suff_stats=s,
-                   kept_rows=kept, n_rows_original=n_orig)
+            counts = None if counts is None else counts[keep]
+        return design, offset, counts, kept
 
     @property
     def n_rows(self) -> int:
@@ -310,7 +319,7 @@ def validate_curvature_bound(inst: ProblemInstance, W, n_weights: int = 200,
     curvature.  H(mu) = <1,n> Xs^T [diag(w) - w w^T] Xs with w = mu/sum(mu).
     """
     _require_intercept(inst)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox_rng(seed)
     p1 = inst.n_cols - 1
     Xs = inst.design.submatrix(np.arange(1, inst.n_cols))
     total = inst.total_count

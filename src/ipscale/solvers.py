@@ -42,7 +42,7 @@ import scipy.linalg
 
 from . import model as mdl
 from .design import KIND_BINARY, KIND_GENERAL, _dense
-from .model import BETA_CLAMP, Coefficients, ProblemInstance
+from .model import BETA_CLAMP, Coefficients, ProblemInstance, philox_rng
 
 TOL_REACHED = "tol_reached"
 TIME_LIMIT = "time_limit"
@@ -55,6 +55,11 @@ WORK_UNITS_PER_SECOND = 1e9
 # tolerance (relative to the subproblem's scale) and iteration cap.
 INNER_TOL = 1e-10
 INNER_MAX_ITERS = 50
+
+# Stopping rule of the 1-D scaling equations of iis: residual tolerance
+# (relative to the right-hand side) and iteration cap.
+SCALING_REL_TOL = 1e-12
+SCALING_MAX_ITERS = 200
 
 _VARIANTS = (
     "ips", "a-ips", "x2-ips", "mm-binary", "gis", "mm-general", "mm-parallel",
@@ -218,12 +223,6 @@ class _Run:
         return iteration % self.cfg.record_every == 0 or iteration >= self.cfg.max_iters
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based with a fixed published algorithm, so permutation
-    # streams reproduce across platforms; permutations are Fisher-Yates.
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _est_error(beta: np.ndarray, beta_true: np.ndarray | None) -> float | None:
     if beta_true is None:
         return None
@@ -280,7 +279,7 @@ class _Family:
 
 
 def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
-    """The outer loop of every iterative variant but the Newton oracle.
+    """The outer loop of every variant.
 
     Records the start, then steps until the stopping rule fires on a
     record: one on the ``record_every`` cadence, one after a step that
@@ -312,16 +311,9 @@ def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
             elif run.out_of_time():
                 run.record(it, *state())
                 break
-    diagnostics = {k: np.array(v) for k, v in fam.diagnostics.items()}
-    return _finish(variant, fam.beta, fam.mu, run, fam.divergent, fam.flags, diagnostics)
-
-
-def _finish(variant, beta, mu, run, divergent, flags=None, diagnostics=None) -> FitResult:
-    if not run.trace.termination:
-        run.trace.termination = ITER_LIMIT
-    flags = {"divergent_coordinates": sorted(divergent), **(flags or {})}
-    return FitResult(variant=variant, beta=beta, mu=mu, trace=run.trace,
-                     flags=flags, diagnostics=diagnostics or {})
+    return FitResult(variant=variant, beta=fam.beta, mu=fam.mu, trace=run.trace,
+                     flags={"divergent_coordinates": sorted(fam.divergent), **fam.flags},
+                     diagnostics={k: np.array(v) for k, v in fam.diagnostics.items()})
 
 
 class _RawState(_Family):
@@ -416,7 +408,7 @@ class _CDFamily(_RawState):
         self.pearson, self.lam = pearson, lam
         self.nsq = inst.counts * inst.counts if pearson else None
         self.supports = [rows for rows, _ in X.columns()]
-        rng = _rng(cfg.seed)
+        rng = philox_rng(cfg.seed)
         perm = perm_fn or (lambda rng, p: rng.permutation(p))
         self.order = (lambda: perm(rng, p)) if variant == "a-ips" else (lambda: range(p))
         self.track_g2 = bool(cfg.track_g2 and inst.counts is not None and X.has_intercept)
@@ -544,9 +536,9 @@ def l1_kkt_residuals(inst: ProblemInstance, beta: np.ndarray, mu: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _apply_sync_step(inst, beta, mu, delta, B, divergent) -> None:
+def _apply_sync_step(inst, beta, mu, delta, divergent) -> None:
     """Clamp a synchronized step coordinate-wise and rescale mu in place."""
-    new_beta = np.clip(beta + delta, -B, B)
+    new_beta = np.clip(beta + delta, -BETA_CLAMP, BETA_CLAMP)
     hit = (new_beta != beta + delta) | ~np.isfinite(delta)
     if np.any(hit):
         bad = np.nonzero(hit)[0]
@@ -559,37 +551,37 @@ def _apply_sync_step(inst, beta, mu, delta, B, divergent) -> None:
     beta[:] = new_beta
 
 
-def _ratio_step(inst, beta, mu, step_size, B, divergent) -> None:
+def _ratio_step(inst, beta, mu, step_size, divergent) -> None:
     s = inst.suff_stats
     den = inst.design.rmatvec(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = step_size * np.log(s / den)
     delta = np.where(s <= 0.0, -np.inf, delta)
     delta = np.where((den <= 0.0) & (s > 0.0), np.inf, delta)
-    _apply_sync_step(inst, beta, mu, delta, B, divergent)
+    _apply_sync_step(inst, beta, mu, delta, divergent)
 
 
 def mm_binary_step(inst: ProblemInstance, c: Coefficients,
-                   clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+                   divergent: set | None = None) -> Coefficients:
     """Synchronized update beta += (1/p) log(X^T n / X^T mu) for binary designs."""
     if inst.design.kind != KIND_BINARY:
         raise SolverError("mm-binary requires a binary design")
     divergent = set() if divergent is None else divergent
-    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.n_cols, clamp, divergent)
+    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.n_cols, divergent)
     return c
 
 def gis_step(inst: ProblemInstance, c: Coefficients,
-             clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+             divergent: set | None = None) -> Coefficients:
     """Synchronized update beta += (1/R) log(X^T n / X^T mu), R = max row sum."""
     if inst.design.kind == KIND_GENERAL:
         raise SolverError("gis requires a non-negative design")
     divergent = set() if divergent is None else divergent
-    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.design.row_sum_max, clamp, divergent)
+    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.design.row_sum_max, divergent)
     return c
 
 
 def mm_general_step(inst: ProblemInstance, c: Coefficients,
-                    clamp: float = BETA_CLAMP, divergent: set | None = None) -> Coefficients:
+                    divergent: set | None = None) -> Coefficients:
     """Per-coordinate exact minimization of the signed-design surrogate.
 
     For each column, with a = <x_j+, mu>, b = <x_j, n>, c = <x_j-, mu>, the
@@ -619,7 +611,7 @@ def mm_general_step(inst: ProblemInstance, c: Coefficients,
     delta[up] = np.inf
     rest = zero_a & ~neg_b & ~up
     delta[rest] = 0.0
-    _apply_sync_step(inst, c.beta, c.mu, delta, clamp, divergent)
+    _apply_sync_step(inst, c.beta, c.mu, delta, divergent)
     return c
 
 
@@ -645,9 +637,7 @@ def _auto_blocks(total: int, block_sizes, *, what: str) -> list[np.ndarray]:
 
 
 def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
-                     clamp: float = BETA_CLAMP, divergent: set | None = None,
-                     inner_tol: float = INNER_TOL, inner_max: int = INNER_MAX_ITERS,
-                     flags: dict | None = None) -> Coefficients:
+                     divergent: set | None = None, flags: dict | None = None) -> Coefficients:
     """Simultaneous block update of the separable non-negative surrogate.
 
     Every block minimizes its own term of the surrogate (independently,
@@ -666,16 +656,15 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
         active = rows_k > 0.0
         r = np.zeros(X.n_rows)
         r[active] = rowsum[active] / rows_k[active]
-        d, ok = _surrogate_block_newton(
-            Xk, inst.suff_stats[cols], c.mu, r, active, inner_tol, inner_max)
+        d, ok = _surrogate_block_newton(Xk, inst.suff_stats[cols], c.mu, r, active)
         if not ok and flags is not None:
             flags["block_step_failures"] = flags.get("block_step_failures", 0) + 1
         delta[cols] = d
-    _apply_sync_step(inst, c.beta, c.mu, delta, clamp, divergent)
+    _apply_sync_step(inst, c.beta, c.mu, delta, divergent)
     return c
 
 
-def _surrogate_block_newton(Xk, sk, mu, r, active, inner_tol, inner_max):
+def _surrogate_block_newton(Xk, sk, mu, r, active):
     """Minimize -sk^T d + sum_i (mu_i / r_i) exp(r_i (Xk d)_i) over rows with
     block mass; returns (d, healthy)."""
     g = len(sk)
@@ -687,33 +676,26 @@ def _surrogate_block_newton(Xk, sk, mu, r, active, inner_tol, inner_max):
     z = np.zeros(len(mua))
     f = float(base.sum())
     f0 = f
-    scale = inner_tol * (1.0 + float(np.abs(sk).max(initial=0.0)) + f0)
+    scale = INNER_TOL * (1.0 + float(np.abs(sk).max(initial=0.0)) + f0)
+
+    def trial(t, direction):
+        z_try = z + t * (dense @ direction)
+        with np.errstate(over="ignore"):
+            return -float(sk @ (d + t * direction)) + float((base * np.exp(ra * z_try)).sum()), z_try
+
     converged = False
-    for _ in range(inner_max):
+    for _ in range(INNER_MAX_ITERS):
         w = mua * np.exp(ra * z)
         gk = -sk + dense.T @ w
         if float(np.max(np.abs(gk))) <= scale:
             converged = True
             break
         H = dense.T @ ((w * ra)[:, None] * dense)
-        step = _solve_psd(H, gk)
-        direction = -step
-        gd = float(gk @ direction)
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            z_try = z + t * (dense @ direction)
-            with np.errstate(over="ignore"):
-                f_try = -float(sk @ (d + t * direction)) + float((base * np.exp(ra * z_try)).sum())
-            if np.isfinite(f_try) and f_try <= f + 1e-4 * t * gd:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        step = _armijo(gk, H, f, trial, 30)
+        if step is None:
             break
+        t, direction, f, z = step
         d = d + t * direction
-        z = z_try
-        f = f_try
     if converged:
         return d, True
     if not d.any():
@@ -780,14 +762,13 @@ def mm_parallel_fit(inst, cfg=None):
 
 
 def solve_scaling_equation(coef: np.ndarray, expo: np.ndarray, rhs: float,
-                           scale: float, bound: float, rel_tol: float = 1e-12,
-                           max_iter: int = 200) -> tuple[float, bool, int]:
+                           scale: float, bound: float) -> tuple[float, bool, int]:
     """Root of scale * sum(coef * exp(expo * d)) = rhs over d.
 
     coef > 0 and expo > 0 make the left side strictly increasing, so the
     root is unique when it exists.  A geometric bracket is grown from
     [-1, 1] until the residual changes sign, then safeguarded Newton with
-    bisection fallback runs to |residual| <= rel_tol * rhs.  Returns
+    bisection fallback runs to |residual| <= SCALING_REL_TOL * rhs.  Returns
     (d, clamped, n_evals); d is pinned to +-bound when the root escapes.
     """
     if rhs <= 0.0:
@@ -824,8 +805,8 @@ def solve_scaling_equation(coef: np.ndarray, expo: np.ndarray, rhs: float,
             break
         flo = f(lo)
     d = 0.5 * (lo + hi)
-    tol = rel_tol * rhs
-    for _ in range(max_iter):
+    tol = SCALING_REL_TOL * rhs
+    for _ in range(SCALING_MAX_ITERS):
         with np.errstate(over="ignore"):
             ed = np.exp(expo * d)
             fd = scale * float((coef * ed).sum()) - rhs
@@ -865,8 +846,7 @@ class _IisFamily(_ProfiledState):
         delta = np.zeros(len(slope))
         for j, (rows, vals) in enumerate(self.columns):
             d, clamped, evals = solve_scaling_equation(
-                vals * mu_ring[rows], rowsum[rows], float(self.s_slope[j]), k, BETA_CLAMP,
-                rel_tol=1e-12)
+                vals * mu_ring[rows], rowsum[rows], float(self.s_slope[j]), k, BETA_CLAMP)
             run.work += 2.0 * evals * len(rows)
             if clamped:
                 self.divergent.add(j + 1)
@@ -963,12 +943,17 @@ def normalized_scaling_sequence(inst: ProblemInstance, n_iters: int,
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-bound solver with momentum (plain and ridge)
+# The shared Newton step: one Cholesky, one Armijo line search
 # ---------------------------------------------------------------------------
 
 
-def _solve_psd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H d = g for symmetric PSD H, escalating a ridge on failure."""
+def _cholesky(H: np.ndarray):
+    """Cholesky factor of a symmetric PSD H, escalating a ridge on failure.
+
+    Tries H as given, then H + r I with r starting at 1e-10 x the mean
+    diagonal and growing tenfold per try, 14 tries in all.  Returns
+    (factor, repaired); the factor is None when every try failed.
+    """
     p = H.shape[0]
     base = float(np.trace(H)) / p if p else 1.0
     if not np.isfinite(base) or base <= 0.0:
@@ -978,10 +963,43 @@ def _solve_psd(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         try:
             cf = scipy.linalg.cho_factor(
                 H + damp * np.eye(p) if damp else H, lower=True, check_finite=False)
-            return scipy.linalg.cho_solve(cf, g, check_finite=False)
+            return cf, damp > 0.0
         except (np.linalg.LinAlgError, ValueError):
             damp = base * 1e-10 if damp == 0.0 else damp * 10.0
-    return np.linalg.lstsq(H, g, rcond=None)[0]
+    return None, True
+
+
+def _armijo(g: np.ndarray, H: np.ndarray, f: float, trial, halvings: int):
+    """One Newton step with Armijo backtracking on a local model.
+
+    The direction solves H d = -g (by least squares when H cannot be
+    factored even with a ridge), or is -g when that is not a descent
+    direction.  t halves from 1 until ``trial(t, d) -> (objective, state)``
+    gives a finite objective at most f + 1e-4 t g^T d.  Returns
+    (t, d, objective, state), or None when none of ``halvings`` tries passes.
+    """
+    cf, _ = _cholesky(H)
+    if cf is None:
+        step = np.linalg.lstsq(H, g, rcond=None)[0]
+    else:
+        step = scipy.linalg.cho_solve(cf, g, check_finite=False)
+    direction = -step
+    gd = float(g @ direction)
+    if gd > 0.0:
+        direction = -g
+        gd = float(g @ direction)
+    t = 1.0
+    for _ in range(halvings):
+        f_try, state = trial(t, direction)
+        if np.isfinite(f_try) and f_try <= f + 1e-4 * t * gd:
+            return t, direction, f_try, state
+        t *= 0.5
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Quadratic-bound solver with momentum (plain and ridge)
+# ---------------------------------------------------------------------------
 
 
 class _WOperator:
@@ -1013,19 +1031,9 @@ class _WOperator:
             W = W + lam * np.eye(p1)
         self.scalar = None
         self.matrix = W
-        ridge = 1e-10 * float(np.trace(W)) / max(p1, 1)
-        if not np.isfinite(ridge) or ridge <= 0.0:
-            ridge = 1e-12
-        for attempt in range(12):
-            try:
-                self.cf = scipy.linalg.cho_factor(W, lower=True, check_finite=False)
-                return
-            except (np.linalg.LinAlgError, ValueError):
-                W = W + ridge * np.eye(p1)
-                ridge *= 10.0
-                self.repaired = True
-                self.matrix = W
-        raise SolverError("curvature bound matrix could not be factorized")
+        self.cf, self.repaired = _cholesky(W)
+        if self.cf is None:
+            raise SolverError("curvature bound matrix could not be factorized")
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         if self.scalar is not None:
@@ -1114,10 +1122,10 @@ def qips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResul
     return _drive(cfg.variant, cfg, _QipsFamily(inst, cfg))
 
 
-def momentum_sequence(n: int, theta0: float = 1.0) -> np.ndarray:
-    """First n+1 momentum factors theta_t of the acceleration recursion."""
+def momentum_sequence(n: int) -> np.ndarray:
+    """First n+1 momentum factors theta_t of the acceleration recursion, from theta_0 = 1."""
     out = np.empty(n + 1)
-    th = theta0
+    th = 1.0
     out[0] = th
     for t in range(1, n + 1):
         th = 0.5 * (np.sqrt(th**4 + 4.0 * th**2) - th**2)
@@ -1130,7 +1138,7 @@ def momentum_sequence(n: int, theta0: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
+def _block_newton_profiled(Xk, sk, mu_ring, total):
     """Newton minimization of the profiled objective in one slope block.
 
     Objective in the block step d:  -sk^T d + total * log <1, mu o exp(Xk d)>.
@@ -1145,10 +1153,22 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
     mu_loc = mu_ring.copy()
     S = float(mu_loc.sum())
     f = total * np.log(S)
-    scale = inner_tol * (1.0 + total)
+    scale = INNER_TOL * (1.0 + total)
     work = 0.0
     failed = False
-    for _ in range(inner_max):
+
+    def trial(t, direction):
+        nonlocal work
+        z = Xk.matvec(t * direction)
+        with np.errstate(over="ignore"):
+            mu_try = mu_loc * np.exp(z)
+        S_try = float(mu_try.sum())
+        work += 2.0 * block_nnz + N
+        if not (np.isfinite(S_try) and S_try > 0.0):
+            return math.inf, None
+        return -float(sk @ (d + t * direction)) + total * np.log(S_try), (mu_try, S_try)
+
+    for _ in range(INNER_MAX_ITERS):
         u = Xk.rmatvec(mu_loc)
         gk = -sk + total * (u / S)
         work += 2.0 * block_nnz
@@ -1157,30 +1177,12 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, inner_tol, inner_max):
         A = Xk.gram(mu_loc / S)
         H = total * (A - np.outer(u / S, u / S))
         work += block_nnz * g + g**3 / 3.0
-        step = _solve_psd(H, gk)
-        direction = -step
-        gd = float(gk @ direction)
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            z = Xk.matvec(t * direction)
-            with np.errstate(over="ignore"):
-                mu_try = mu_loc * np.exp(z)
-            S_try = float(mu_try.sum())
-            work += 2.0 * block_nnz + N
-            if np.isfinite(S_try) and S_try > 0.0:
-                f_try = -float(sk @ (d + t * direction)) + total * np.log(S_try)
-                if f_try <= f + 1e-4 * t * gd:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
+        step = _armijo(gk, H, f, trial, 30)
+        if step is None:
             failed = True
             break
+        t, direction, f, (mu_loc, S) = step
         d = d + t * direction
-        mu_loc = mu_try
-        S = S_try
-        f = f_try
     return d, mu_loc, work, failed
 
 
@@ -1192,7 +1194,7 @@ class _BipsFamily(_ProfiledState):
         super().__init__(inst, cfg, "b-ips")
         self.cfg = cfg
         self.sizes = [len(b) for b in _auto_blocks(inst.n_cols - 1, cfg.block_sizes, what="b-ips")]
-        self.rng = _rng(cfg.seed)
+        self.rng = philox_rng(cfg.seed)
         self.flags["line_search_failures"] = 0
         if cfg.track_block_objective:
             self.diagnostics["block_objectives"] = []
@@ -1208,7 +1210,7 @@ class _BipsFamily(_ProfiledState):
             off += gsize
             Xk = X.column_block(cols + 1)
             d, mu_new, work, failed = _block_newton_profiled(
-                Xk, self.s_slope[cols], self.mu_ring, self.total, INNER_TOL, INNER_MAX_ITERS)
+                Xk, self.s_slope[cols], self.mu_ring, self.total)
             run.work += work
             if failed:
                 self.flags["line_search_failures"] += 1
@@ -1241,6 +1243,47 @@ def bips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResul
 NEWTON_MAX_P = 5000
 
 
+class _NewtonFamily(_RawState):
+    """One full-Hessian Newton step with Armijo backtracking per iteration."""
+
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+        p = inst.n_cols
+        if p > NEWTON_MAX_P:
+            raise SolverError(f"newton baseline is limited to p <= {NEWTON_MAX_P}")
+        super().__init__(inst, cfg)
+        self.step_work = float(inst.n_rows) * p * p + p**3 / 3.0
+        self.g = None
+
+    def objective(self) -> float:
+        return mdl.neg_log_likelihood(self.inst, self.c)
+
+    def grad_norm(self) -> float:
+        # kept for the next step, so a record and that step share one gradient
+        self.g = mdl.gradient(self.inst, self.c)
+        return float(np.max(np.abs(self.g)))
+
+    def step(self, run: _Run) -> str:
+        inst = self.inst
+        g, self.g = self.g, None
+        if g is None:
+            g = mdl.gradient(inst, self.c)
+            run.work += inst.design.nnz + inst.n_cols
+
+        def trial(t, direction):
+            beta = np.clip(self.c.beta + t * direction, -BETA_CLAMP, BETA_CLAMP)
+            c = Coefficients.from_beta(inst, beta)
+            return mdl.neg_log_likelihood(inst, c), c
+
+        step = _armijo(g, inst.design.weighted_gram(self.c.mu), self.objective(), trial, 50)
+        run.work += self.step_work
+        if step is None:
+            # a rejected step leaves the iterate unchanged and ends the run as diverged
+            return _step_outcome(False, failed=True)
+        self.c = step[3]
+        self.divergent.update(int(j) for j in np.nonzero(np.abs(self.c.beta) >= BETA_CLAMP)[0])
+        return _step_outcome(True)
+
+
 def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
     """Full-Hessian Newton with Armijo backtracking on the raw objective.
 
@@ -1248,60 +1291,7 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
     p <= 5000 where a dense factorization is reasonable.
     """
     cfg = cfg or SolverConfig(variant="newton")
-    X = inst.design
-    p = X.n_cols
-    if p > NEWTON_MAX_P:
-        raise SolverError(f"newton baseline is limited to p <= {NEWTON_MAX_P}")
-    s = inst.suff_stats
-    beta = _init_beta(cfg, p)
-    c = Coefficients.from_beta(inst, beta)
-    N = X.n_rows
-    divergent: set[int] = set()
-
-    def objective() -> float:
-        return mdl.neg_log_likelihood(inst, c)
-
-    def grad() -> np.ndarray:
-        return X.rmatvec(c.mu) - s
-
-    run = _Run(cfg)
-    g = grad()
-    if run.start(objective(), float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true)):
-        return _finish("newton", c.beta, c.mu, run, divergent)
-    it = 0
-    f = run.trace.records[0].objective
-    while True:
-        H = X.weighted_gram(c.mu)
-        step = _solve_psd(H, g)
-        direction = -step
-        gd = float(g @ direction)
-        if gd > 0.0:
-            direction = -g
-            gd = float(g @ direction)
-        t = 1.0
-        accepted = False
-        for _ in range(50):
-            trial = np.clip(c.beta + t * direction, -BETA_CLAMP, BETA_CLAMP)
-            c_try = Coefficients.from_beta(inst, trial)
-            f_try = mdl.neg_log_likelihood(inst, c_try)
-            if np.isfinite(f_try) and f_try <= f + 1e-4 * t * gd:
-                accepted = True
-                break
-            t *= 0.5
-        run.work += float(N) * p * p + p**3 / 3.0
-        if accepted:
-            if np.any(np.abs(trial) >= BETA_CLAMP):
-                divergent.update(int(j) for j in np.nonzero(np.abs(trial) >= BETA_CLAMP)[0])
-            c = c_try
-            f = f_try
-        it += 1
-        g = grad()
-        run.work += X.nnz + p
-        # a rejected step leaves the iterate unchanged and ends the run as diverged
-        if run.record(it, f, float(np.max(np.abs(g))), _est_error(c.beta, inst.beta_true),
-                      _step_outcome(accepted, failed=not accepted)):
-            break
-    return _finish("newton", c.beta, c.mu, run, divergent)
+    return _drive("newton", cfg, _NewtonFamily(inst, cfg))
 
 
 # ---------------------------------------------------------------------------

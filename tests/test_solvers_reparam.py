@@ -7,9 +7,11 @@ from ipscale import model as mdl
 from ipscale.design import DesignMatrix, TableSchema, build_table_design
 from ipscale.model import ProblemInstance
 from ipscale.solvers import (
+    ConvergenceTrace,
     SolverConfig,
     SolverError,
     bips_fit,
+    check_stop,
     iis_fit,
     momentum_sequence,
     newton_fit,
@@ -328,3 +330,31 @@ class TestNewtonBaseline:
                 newton_fit(inst, cfg)
         finally:
             sv.NEWTON_MAX_P = old
+
+    def test_records_on_cadence_and_stops_at_first_firing_record(self):
+        inst = random_general_instance(67, 60, 8)
+        cfg = SolverConfig(variant="newton", eps_tol=1e-10, record_every=3)
+        res = newton_fit(inst, cfg)
+        its = [r.iteration for r in res.trace.records]
+        assert len(its) >= 3
+        assert all(i % 3 == 0 for i in its[:-1])
+        fires = [check_stop(ConvergenceTrace(res.trace.records[:k + 1]), cfg)
+                 for k in range(len(its))]
+        assert fires == [False] * (len(its) - 1) + [True]
+        assert res.converged
+
+
+def test_duplicated_slope_column_repairs_the_factorization():
+    # an exact copy of a slope column makes the curvature bound, the block
+    # Hessian and the full Hessian singular: the Cholesky factorization needs
+    # its ridge, and the flat direction does not stop any solver
+    rng = make_rng(0)
+    arr = np.hstack([np.ones((40, 1)), rng.uniform(0.0, 1.0, size=(40, 5))])
+    X = DesignMatrix.from_dense(np.hstack([arr, arr[:, [2]]]))
+    inst = ProblemInstance.from_counts(X, rng.poisson(5.0, size=40).astype(float) + 1.0)
+    res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8))
+    assert res.flags["w_ridge_repaired"]
+    assert res.converged and res.trace.final().rel_gradient <= 1e-8
+    for fit, variant in ((bips_fit, "b-ips"), (newton_fit, "newton")):
+        res = fit(inst, SolverConfig(variant=variant, eps_tol=1e-8))
+        assert res.converged and res.trace.final().rel_gradient <= 1e-8, variant
