@@ -13,8 +13,19 @@ too; a ``*-design.txt`` file records what the reader returned.  Floats
 are written with ``float.hex``, so two runs agree exactly when their files
 are byte-identical (``diff -r OLD NEW``).  A variant that rejects an
 instance writes the error message instead.
+
+It then runs the CLI on small seeded inputs that it writes itself: ``fit``
+on a grouped table and on a triplet design with an offset, ``rake``,
+``path``, ``bench`` and ``gen``.  Each command's output files are copied to
+``cli-<name>/`` with its exit code, except the measured wall time:
+``wall_times.json`` and the ``wall_seconds`` line of ``summary.json``.
 """
 
+import contextlib
+import csv
+import io
+import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +34,7 @@ import numpy as np
 
 from ipscale import (ProblemInstance, SolverConfig, SolverError, harness, read_triplet_csv, solve,
                      write_triplet_csv)
+from ipscale.cli import main as cli_main
 from ipscale.solvers import _VARIANTS
 
 
@@ -94,6 +106,87 @@ def _fit_text(inst, variant: str, beta_init, record_every: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_rows(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _cli_inputs(work: Path) -> None:
+    """Schema, grouped counts, rake seed and margins, and an offset vector."""
+    rng = np.random.Generator(np.random.Philox(11))
+    sizes = (3, 4, 2)
+    (work / "schema.json").write_text(json.dumps({
+        "factors": [{"name": n, "levels": m} for n, m in zip("abc", sizes)], "order": 2}))
+    cells = np.indices(sizes).reshape(len(sizes), -1).T + 1
+    counts = rng.poisson(8.0, size=len(cells)) + 1
+    # two cells unobserved, two rows swapped out of row-major order
+    rows = [[*c, n] for c, n in zip(cells.tolist(), counts.tolist())][2:]
+    rows[0], rows[5] = rows[5], rows[0]
+    _write_rows(work / "counts.csv", ["a", "b", "c", "count"], rows)
+    # cells 5 and 17 absent, cell 10 listed as 0: zeros that leave every margin cell reachable
+    seed = rng.gamma(2.0, size=len(cells))
+    seed[10] = 0.0
+    _write_rows(work / "seed.csv", ["a", "b", "c", "value"],
+                [[*c, repr(v)] for k, (c, v) in enumerate(zip(cells.tolist(), seed.tolist()))
+                 if k not in (5, 17)])
+    target = rng.gamma(2.0, size=sizes)
+    # the first margin lists (c, a): neither its column nor its row order is row-major
+    ca = target.sum(axis=1)
+    _write_rows(work / "m_ca.csv", ["c", "a", "target"],
+                [[k + 1, i + 1, repr(float(ca[i, k]))] for k in range(2) for i in range(3)])
+    ab = target.sum(axis=2)
+    _write_rows(work / "m_ab.csv", ["a", "b", "target"],
+                [[i + 1, j + 1, repr(float(ab[i, j]))] for i in range(3) for j in range(4)])
+    offset = rng.uniform(0.5, 2.0, size=60)
+    _write_rows(work / "offset.csv", ["row", "offset"],
+                [[i, repr(v)] for i, v in enumerate(offset.tolist())])
+
+
+def _cli_runs(work: Path) -> dict:
+    """Each CLI command by name, in run order (``gen`` feeds ``fit-triplet``)."""
+    table = ["--counts", str(work / "counts.csv"), "--schema", str(work / "schema.json")]
+    return {
+        "gen": ["gen", "general", "--n", "60", "--p", "6", "--seed", "1"],
+        "fit-table": ["fit", *table, "--solver", "a-ips", "--seed", "3", "--eps-tol", "1e-8"],
+        "fit-triplet": ["fit", "--design", str(work / "gen" / "general_design.csv"),
+                        "--counts-vec", str(work / "gen" / "general_counts.csv"),
+                        "--offset", str(work / "offset.csv"), "--solver", "q-ips"],
+        "rake": ["rake", "--schema", str(work / "schema.json"),
+                 "--seed-table", str(work / "seed.csv"),
+                 "--margin", str(work / "m_ca.csv"), "--margin", str(work / "m_ab.csv")],
+        "path": ["path", *table, "--grid-size", "3"],
+        "bench": ["bench", "nonneg-small", "--scale", "0.15", "--replications", "1",
+                  "--roster", "gis,q-ips", "--seed", "3"],
+    }
+
+
+def _copy_cli_outputs(src: Path, dst: Path, code: int) -> None:
+    dst.mkdir(parents=True, exist_ok=True)
+    (dst / "exit_code.txt").write_text(f"{code}\n")
+    for f in sorted(src.iterdir()) if src.is_dir() else []:
+        if f.name == "wall_times.json":
+            continue
+        if f.name == "summary.json":
+            lines = f.read_text().splitlines(keepends=True)
+            (dst / f.name).write_text(
+                "".join(ln for ln in lines if not ln.lstrip().startswith('"wall_seconds"')))
+        else:
+            shutil.copyfile(f, dst / f.name)
+
+
+def _run_cli(out: Path) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _cli_inputs(work)
+        for name, argv in _cli_runs(work).items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([*argv, "--out-dir", str(work / name)])
+            _copy_cli_outputs(work / name, out / f"cli-{name}", code)
+            print(out / f"cli-{name}", flush=True)
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
@@ -109,6 +202,7 @@ def main() -> None:
                 path = out / f"{name}-{variant}-every{every}.txt"
                 path.write_text(_fit_text(inst, variant, beta_init, every))
                 print(path, flush=True)
+    _run_cli(out)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+from array import array
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import harness, model as mdl
+from ._io import fmt, write_csv, write_json
 from .design import (
     DesignError,
     TableSchema,
@@ -48,14 +50,12 @@ class InputError(ValueError):
     """Malformed input file or inconsistent command-line request."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # -- input readers ------------------------------------------------------------
 
 
-def _read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+@contextmanager
+def _csv_records(path):
+    """A CSV's stripped header, and its non-empty records with their line numbers."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -65,153 +65,115 @@ def _read_csv_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}:1: empty file, expected a header row")
-        rows = [(lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec]
-    return [h.strip() for h in header], rows
+        yield [h.strip() for h in header], (
+            (lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
 
 
-def _read_counts_table(path, schema: TableSchema) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped counts: one column per factor (1-based level), then count."""
-    header, rows = _read_csv_rows(path)
-    names = [n for n, _ in schema.factors]
-    try:
-        fac_cols = [header.index(n) for n in names]
-        cnt_col = header.index("count")
-    except ValueError as exc:
-        raise InputError(f"{path}:1: header must contain {names + ['count']}: {exc}") from exc
-    levels = np.empty((len(rows), len(names)), dtype=np.int64)
-    counts = np.empty(len(rows))
-    seen = set()
-    for i, (lineno, rec) in enumerate(rows):
+def _key_text(names, levels) -> str:
+    return ", ".join(f"{n}={int(v)}" for n, v in zip(names, levels))
+
+
+def _read_keyed_csv(path, keys, value_name: str, base: int):
+    """Records keyed by integer columns, each with one value.
+
+    ``keys`` lists ``(column, n_levels)`` pairs; a key column holds levels
+    ``base .. base + n_levels - 1``.  Returns the key levels (one row per
+    record), the values and each record's row-major flat index over the
+    keys, all in file order.  Every key must be in range and listed at most
+    once, and every value must be finite and non-negative.
+    """
+    names = [n for n, _ in keys]
+    # records are parsed as they stream in, so no table of strings is held
+    lines, levels, values = array("q"), array("q"), array("d")
+    with _csv_records(path) as (header, records):
         try:
-            levels[i] = [int(rec[c]) for c in fac_cols]
-            counts[i] = float(rec[cnt_col])
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-        key = tuple(levels[i])
-        if key in seen:
-            raise InputError(f"{path}:{lineno}: duplicate cell {key}")
-        seen.add(key)
-        if counts[i] < 0:
-            raise InputError(f"{path}:{lineno}: negative count")
-    if len(rows) == 0:
+            cols = [header.index(n) for n in names]
+            val_col = header.index(value_name)
+        except ValueError as exc:
+            raise InputError(
+                f"{path}:1: header must contain {names + [value_name]}: {exc}") from exc
+        for lineno, rec in records:
+            try:
+                levels.extend([int(rec[c]) for c in cols])
+                values.append(float(rec[val_col]))
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
+            lines.append(lineno)
+    if not lines:
         raise InputError(f"{path}: no data rows")
-    return levels, counts
+    levels = np.frombuffer(levels, dtype=np.int64).reshape(len(lines), len(keys))
+    values = np.frombuffer(values)
+    flat = np.zeros(len(lines), dtype=np.int64)
+    for k, (name, m) in enumerate(keys):
+        outside = np.flatnonzero((levels[:, k] < base) | (levels[:, k] >= base + m))
+        if outside.size:
+            i = outside[0]
+            raise InputError(f"{path}:{lines[i]}: {name} level {levels[i, k]} "
+                             f"out of range {base}..{base + m - 1}")
+        flat = flat * m + (levels[:, k] - base)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        first = np.flatnonzero(flat == flat[i])[0]
+        raise InputError(
+            f"{path}:{lines[i]}: {_key_text(names, levels[i])} repeats line {lines[first]}")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        i = bad[0]
+        raise InputError(
+            f"{path}:{lines[i]}: {value_name} {values[i]} must be finite and non-negative")
+    return levels, values, flat
 
 
-def _read_vector_csv(path, value_name: str, n_rows: int | None = None) -> np.ndarray:
-    """Indexed vector CSV with header ``row,<value_name>``."""
-    header, rows = _read_csv_rows(path)
-    if len(header) < 2 or header[0] != "row" or header[1] != value_name:
-        raise InputError(f"{path}:1: expected header 'row,{value_name}'")
-    idx = np.empty(len(rows), dtype=np.int64)
-    val = np.empty(len(rows))
-    for i, (lineno, rec) in enumerate(rows):
-        try:
-            idx[i] = int(rec[0])
-            val[i] = float(rec[1])
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-    n = n_rows if n_rows is not None else (int(idx.max()) + 1 if len(idx) else 0)
-    out = np.zeros(n)
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise InputError(f"{path}: row index out of range 0..{n - 1}")
-    if len(np.unique(idx)) != len(idx):
-        raise InputError(f"{path}: duplicate row index")
-    out[idx] = val
-    if n_rows is not None and len(idx) != n_rows:
-        missing = sorted(set(range(n)) - set(idx.tolist()))[:5]
-        raise InputError(f"{path}: missing rows, e.g. {missing}")
-    return out
+def _read_complete_csv(path, keys, value_name: str, base: int):
+    """A keyed CSV that must list every key: its values in file order, and
+    in row-major key order."""
+    _, values, flat = _read_keyed_csv(path, keys, value_name, base)
+    sizes = [m for _, m in keys]
+    n_keys = int(np.prod(sizes))
+    if len(flat) != n_keys:
+        missing = np.setdiff1d(np.arange(n_keys), flat)[0]
+        key = np.array(np.unravel_index(missing, sizes)) + base
+        raise InputError(f"{path}: no record for {_key_text([n for n, _ in keys], key)}")
+    dense = np.empty(n_keys)
+    dense[flat] = values
+    return values, dense
 
 
-def _read_table_values(path, schema: TableSchema, value_name: str) -> np.ndarray:
-    """Full-table vector keyed by factor levels; absent cells get 0."""
-    header, rows = _read_csv_rows(path)
-    names = [n for n, _ in schema.factors]
-    try:
-        fac_cols = [header.index(n) for n in names]
-        val_col = header.index(value_name)
-    except ValueError as exc:
-        raise InputError(f"{path}:1: header must contain {names + [value_name]}: {exc}") from exc
-    out = np.zeros(schema.n_cells)
-    for lineno, rec in rows:
-        try:
-            levels = [int(rec[c]) for c in fac_cols]
-            v = float(rec[val_col])
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-        try:
-            out[schema.cell_index(levels)] = v
-        except DesignError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return out
+def _read_margin_csv(path, schema: TableSchema) -> tuple[tuple[int, ...], np.ndarray, float]:
+    """Margin targets: header = subset factor names + 'target'.
 
-
-def _read_margin_csv(path, schema: TableSchema) -> tuple[tuple[int, ...], dict]:
-    """Margin targets: header = subset factor names + 'target'."""
-    header, rows = _read_csv_rows(path)
-    names = {n: k for k, (n, _) in enumerate(schema.factors)}
-    subset_names = [h for h in header if h != "target"]
+    Returns the subset, its targets over its cells in row-major order, and
+    their total summed in file order.
+    """
+    with _csv_records(path) as (header, _):  # the header names the subset
+        subset_names = [h for h in header if h != "target"]
+    index = {n: k for k, (n, _) in enumerate(schema.factors)}
     if "target" not in header:
         raise InputError(f"{path}:1: header needs a 'target' column")
     if not subset_names:
         raise InputError(f"{path}:1: header needs at least one factor column")
     for h in subset_names:
-        if h not in names:
+        if h not in index:
             raise InputError(f"{path}:1: unknown factor {h!r}")
-    subset = tuple(sorted(names[h] for h in subset_names))
-    order = np.argsort([names[h] for h in subset_names])
-    fac_cols = [header.index(h) for h in subset_names]
-    tgt_col = header.index("target")
-    targets = {}
-    for lineno, rec in rows:
-        try:
-            combo_raw = [int(rec[c]) for c in fac_cols]
-            v = float(rec[tgt_col])
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-        combo = tuple(int(combo_raw[i]) for i in order)
-        if combo in targets:
-            raise InputError(f"{path}:{lineno}: duplicate margin cell {combo}")
-        if v < 0:
-            raise InputError(f"{path}:{lineno}: negative target")
-        targets[combo] = v
-    return subset, targets
+    subset = tuple(sorted(index[h] for h in subset_names))
+    values, targets = _read_complete_csv(path, [schema.factors[k] for k in subset], "target", 1)
+    return subset, targets, sum(values.tolist())
 
 
 # -- output writers -----------------------------------------------------------
 
 
-def _write_beta_csv(path, labels, beta) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column_label", "estimate"])
-        for lab, b in zip(labels, beta):
-            w.writerow([lab, _fmt(b)])
-
-
-def _write_mu_csv(path, mu) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "mu"])
-        for i, v in enumerate(mu):
-            w.writerow([i, _fmt(v)])
-
-
 def _write_trace_csv(path, res: FitResult) -> None:
     have_est = res.trace.records[0].est_error is not None
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        cols = ["iteration", "time_s", "objective", "rel_gradient"]
-        if have_est:
-            cols.append("est_error")
-        w.writerow(cols)
-        for rec in res.trace.records:
-            row = [rec.iteration, _fmt(rec.work_seconds), _fmt(rec.objective),
-                   _fmt(rec.rel_gradient)]
-            if have_est:
-                row.append(_fmt(rec.est_error))
-            w.writerow(row)
+    cols = ["iteration", "time_s", "objective", "rel_gradient"]
+    if have_est:
+        cols.append("est_error")
+    write_csv(path, cols, (
+        [r.iteration, fmt(r.work_seconds), fmt(r.objective), fmt(r.rel_gradient),
+         *([fmt(r.est_error)] if have_est else [])]
+        for r in res.trace.records))
 
 
 def _write_summary(path, res: FitResult, inst: ProblemInstance, extra: dict | None = None) -> None:
@@ -232,9 +194,7 @@ def _write_summary(path, res: FitResult, inst: ProblemInstance, extra: dict | No
         out["pearson_x2"] = mdl.pearson_x2(inst.counts, res.mu)
     if extra:
         out.update(extra)
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    write_json(path, out)
 
 
 def _exit_for(res: FitResult) -> int:
@@ -243,7 +203,17 @@ def _exit_for(res: FitResult) -> int:
     return EXIT_NOT_CONVERGED
 
 
-# -- shared solver flags -------------------------------------------------------
+# -- shared flags --------------------------------------------------------------
+
+
+def _add_input_flags(sp: argparse.ArgumentParser) -> None:
+    """The model inputs of ``fit`` and ``path``, and their output directory."""
+    sp.add_argument("--counts", help="grouped counts CSV (factor levels + count)")
+    sp.add_argument("--schema", help="table schema JSON")
+    sp.add_argument("--design", help="design triplet CSV (row,col,value)")
+    sp.add_argument("--counts-vec", help="count vector CSV (row,count)")
+    sp.add_argument("--offset", help="offset vector CSV (row,offset)")
+    sp.add_argument("--out-dir", default=".", help="output directory")
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser, default_eps: float = 1e-4) -> None:
@@ -287,16 +257,15 @@ def _config_from_args(args) -> SolverConfig:
 def _load_fit_inputs(args) -> tuple[ProblemInstance, list[str]]:
     if args.counts and args.schema:
         schema = TableSchema.load(args.schema)
-        levels, counts = _read_counts_table(args.counts, schema)
+        levels, counts = _read_keyed_csv(args.counts, schema.factors, "count", 1)[:2]
         X, dropped = build_design_for_cells(schema, levels)
         inst = ProblemInstance.from_counts(X, counts)
         return inst, dropped
     if args.design and args.counts_vec:
         X = read_triplet_csv(args.design)
-        counts = _read_vector_csv(args.counts_vec, "count", X.n_rows)
-        offset = None
-        if args.offset:
-            offset = _read_vector_csv(args.offset, "offset", X.n_rows)
+        rows = [("row", X.n_rows)]
+        counts = _read_complete_csv(args.counts_vec, rows, "count", 0)[1]
+        offset = _read_complete_csv(args.offset, rows, "offset", 0)[1] if args.offset else None
         inst = ProblemInstance.from_counts(X, counts, offset=offset)
         return inst, []
     raise InputError("need either --counts with --schema, or --design with --counts-vec")
@@ -310,8 +279,10 @@ def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
     res = solve(inst, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_beta_csv(os.path.join(args.out_dir, "beta.csv"), inst.design.column_labels, res.beta)
-    _write_mu_csv(os.path.join(args.out_dir, "mu.csv"), inst.expand_mu(res.mu))
+    write_csv(os.path.join(args.out_dir, "beta.csv"), ["column_label", "estimate"],
+              zip(inst.design.column_labels, map(fmt, res.beta)))
+    write_csv(os.path.join(args.out_dir, "mu.csv"), ["row", "mu"],
+              enumerate(map(fmt, inst.expand_mu(res.mu))))
     _write_trace_csv(os.path.join(args.out_dir, "trace.csv"), res)
     _write_summary(os.path.join(args.out_dir, "summary.json"), res, inst,
                    extra={"dropped_columns": dropped} if dropped else None)
@@ -320,29 +291,17 @@ def cmd_fit(args) -> int:
 
 def cmd_rake(args) -> int:
     schema = TableSchema.load(args.schema)
-    seed_table = _read_table_values(args.seed_table, schema, "value")
+    values, flat = _read_keyed_csv(args.seed_table, schema.factors, "value", 1)[1:]
+    seed_table = np.zeros(schema.n_cells)
+    seed_table[flat] = values
     if not args.margin:
         raise InputError("need at least one --margin file")
     margins = [_read_margin_csv(m, schema) for m in args.margin]
-    subsets = [sub for sub, _ in margins]
-    X = build_raking_design(schema, subsets)
-    names = [n for n, _ in schema.factors]
-    sizes = [m for _, m in schema.factors]
-
-    # Assemble target statistics in design-column order; the intercept target
-    # is the first margin's total (the fitted table mass must match it).
-    import itertools as it
-
-    s = np.empty(X.n_cols)
-    s[0] = sum(margins[0][1].values())
-    col = 1
-    for subset, targets in margins:
-        for combo in it.product(*[range(1, sizes[k] + 1) for k in subset]):
-            if combo not in targets:
-                raise InputError(
-                    f"margin over {tuple(names[k] for k in subset)} is missing cell {combo}")
-            s[col] = targets[combo]
-            col += 1
+    X = build_raking_design(schema, [subset for subset, _, _ in margins])
+    # Target statistics in design-column order: the intercept's target is the
+    # first margin's total (the fitted table mass must match it), then each
+    # margin's cells in the row-major order the raking design uses.
+    s = np.concatenate([[margins[0][2]], *(targets for _, targets, _ in margins)])
     try:
         inst = ProblemInstance.from_suff_stats(X, s, offset=seed_table)
     except DesignError as exc:
@@ -353,28 +312,27 @@ def cmd_rake(args) -> int:
     res = solve(inst, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    adjusted = inst.expand_mu(res.mu)
-    with open(os.path.join(args.out_dir, "adjusted.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names + ["value"])
-        for i in range(schema.n_cells):
-            w.writerow(list(schema.cell_levels(i)) + [_fmt(adjusted[i])])
+    names = [n for n, _ in schema.factors]
+    cells = np.indices([m for _, m in schema.factors]).reshape(len(names), -1)
+    cells += 1
+    write_csv(os.path.join(args.out_dir, "adjusted.csv"), names + ["value"],
+              zip(*cells, map(fmt, inst.expand_mu(res.mu))))
 
     worst = 0.0
     worst_label = ""
-    with open(os.path.join(args.out_dir, "residuals.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column_label", "target", "fitted", "rel_residual"])
-        for j in range(1, X.n_cols):
-            fitted = inst.design.col_dot(j, res.mu)
-            target = s[j]
-            if target > 0:
-                rel = abs(fitted - target) / target
-            else:
-                rel = 0.0 if fitted == 0.0 else np.inf
-            if rel > worst:
-                worst, worst_label = rel, X.column_labels[j]
-            w.writerow([X.column_labels[j], _fmt(target), _fmt(fitted), _fmt(rel)])
+    residuals = []
+    for j in range(1, X.n_cols):
+        fitted = inst.design.col_dot(j, res.mu)
+        target = s[j]
+        if target > 0:
+            rel = abs(fitted - target) / target
+        else:
+            rel = 0.0 if fitted == 0.0 else np.inf
+        if rel > worst:
+            worst, worst_label = rel, X.column_labels[j]
+        residuals.append([X.column_labels[j], fmt(target), fmt(fitted), fmt(rel)])
+    write_csv(os.path.join(args.out_dir, "residuals.csv"),
+              ["column_label", "target", "fitted", "rel_residual"], residuals)
     matched = bool(worst <= 1e-8)
     _write_summary(os.path.join(args.out_dir, "summary.json"), res, inst,
                    extra={"margins_matched": matched, "worst_rel_residual": worst,
@@ -392,24 +350,17 @@ def cmd_path(args) -> int:
                              gamma=args.gamma, eps_tol=args.eps_tol,
                              max_iters=args.max_iters, t_max_secs=args.t_max)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "path.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "support_size", "deviance", "ebic"])
-        for pt in result.points:
-            w.writerow([_fmt(pt.lam), pt.support_size, _fmt(pt.deviance), _fmt(pt.ebic)])
+    write_csv(os.path.join(args.out_dir, "path.csv"),
+              ["lambda", "support_size", "deviance", "ebic"],
+              ([fmt(pt.lam), pt.support_size, fmt(pt.deviance), fmt(pt.ebic)]
+               for pt in result.points))
     sel = result.selected
-    with open(os.path.join(args.out_dir, "selected.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "column_label", "estimate"])
-        for lab, b in zip(inst.design.column_labels, sel.beta):
-            if b != 0.0:
-                w.writerow([_fmt(sel.lam), lab, _fmt(b)])
-    with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
-        json.dump({"schema": 1, "selected_lambda": sel.lam,
-                   "selected_support_size": sel.support_size,
-                   "selected_ebic": sel.ebic, "grid_size": len(result.points)},
-                  fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    write_csv(os.path.join(args.out_dir, "selected.csv"), ["lambda", "column_label", "estimate"],
+              ([fmt(sel.lam), lab, fmt(b)]
+               for lab, b in zip(inst.design.column_labels, sel.beta) if b != 0.0))
+    write_json(os.path.join(args.out_dir, "summary.json"),
+               {"schema": 1, "selected_lambda": sel.lam, "selected_support_size": sel.support_size,
+                "selected_ebic": sel.ebic, "grid_size": len(result.points)})
     return EXIT_OK
 
 
@@ -466,12 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model and write beta/mu/trace/summary")
-    fit.add_argument("--counts", help="grouped counts CSV (factor levels + count)")
-    fit.add_argument("--schema", help="table schema JSON")
-    fit.add_argument("--design", help="design triplet CSV (row,col,value)")
-    fit.add_argument("--counts-vec", help="count vector CSV (row,count)")
-    fit.add_argument("--offset", help="offset vector CSV (row,offset)")
-    fit.add_argument("--out-dir", default=".", help="output directory")
+    _add_input_flags(fit)
     _add_solver_flags(fit)
     fit.set_defaults(func=cmd_fit)
 
@@ -486,12 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rake.set_defaults(func=cmd_rake)
 
     path = sub.add_parser("path", help="l1 solution path with EBIC selection")
-    path.add_argument("--counts", help="grouped counts CSV (factor levels + count)")
-    path.add_argument("--schema", help="table schema JSON")
-    path.add_argument("--design", help="design triplet CSV (row,col,value)")
-    path.add_argument("--counts-vec", help="count vector CSV (row,count)")
-    path.add_argument("--offset", help="offset vector CSV (row,offset)")
-    path.add_argument("--out-dir", default=".", help="output directory")
+    _add_input_flags(path)
     path.add_argument("--grid-size", type=int, default=50, help="penalty grid size (default 50)")
     path.add_argument("--min-ratio", type=float, default=1e-3,
                       help="smallest penalty as a fraction of lambda_max (default 1e-3)")

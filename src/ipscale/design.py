@@ -28,6 +28,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from ._io import fmt, write_csv, write_json
+
 # Hard cap on table size so N = prod(levels) blow-ups fail loudly instead of
 # exhausting memory during construction.
 MAX_CELLS = 2**31 - 1
@@ -121,9 +123,7 @@ class TableSchema:
         return cls(factors=factors, interaction_order=order)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "TableSchema":
@@ -594,11 +594,8 @@ def write_triplet_csv(X: DesignMatrix, path) -> None:
     """Sparse triplet export: header ``row,col,value``, 0-based indices."""
     coo = sp.coo_array(X.matrix)
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "value"])
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            w.writerow([int(i), int(j), format(float(v), ".17g")])
+    write_csv(path, ["row", "col", "value"],
+              zip(coo.row[order], coo.col[order], map(fmt, coo.data[order])))
 
 
 def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatrix:

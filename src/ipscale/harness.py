@@ -14,7 +14,6 @@ wall-time curves (not reproducible across runs).
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -22,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import model as mdl
+from ._io import fmt, write_csv, write_json
 from .design import DesignMatrix, TableSchema, build_table_design, write_triplet_csv
 from .model import ProblemInstance, philox_rng
 from .solvers import FitResult, SolverConfig, l1_ips_fit, solve
@@ -79,9 +79,7 @@ class ExperimentSpec:
             raise HarnessError(f"malformed experiment spec: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
@@ -260,37 +258,22 @@ class ExperimentReport:
         written.append(spath)
         for solver, curve in self.curves.items():
             path = os.path.join(out_dir, f"trace_{solver.replace('-', '_')}.csv")
-            cols = ["time_s", "rel_grad"] + (["est_err"] if curve["est_err"] is not None else [])
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(cols)
-                for i in range(len(curve["time_s"])):
-                    row = [format(curve["time_s"][i], ".17g"), format(curve["rel_grad"][i], ".17g")]
-                    if curve["est_err"] is not None:
-                        row.append(format(curve["est_err"][i], ".17g"))
-                    w.writerow(row)
+            cols = [c for c in ("time_s", "rel_grad", "est_err") if curve[c] is not None]
+            write_csv(path, cols, zip(*(map(fmt, curve[c]) for c in cols)))
             written.append(path)
         # summary.csv carries only seed-reproducible quantities; measured wall
         # times go to a json sidecar that is not byte-stable across runs
         spath = os.path.join(out_dir, "summary.csv")
-        with open(spath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["solver", "n_ok", "n_failed", "mean_final_rel_grad",
-                        "mean_final_est_err", "mean_work_seconds", "terminations"])
-            for sm in self.summaries:
-                w.writerow([
-                    sm.solver, sm.n_ok, sm.n_failed,
-                    format(sm.mean_final_rel_grad, ".17g"),
-                    "" if sm.mean_final_est_err is None else format(sm.mean_final_est_err, ".17g"),
-                    format(sm.mean_work_seconds, ".17g"),
-                    ";".join(f"{k}:{v}" for k, v in sorted(sm.terminations.items())),
-                ])
+        rows = [[sm.solver, sm.n_ok, sm.n_failed, fmt(sm.mean_final_rel_grad),
+                 "" if sm.mean_final_est_err is None else fmt(sm.mean_final_est_err),
+                 fmt(sm.mean_work_seconds),
+                 ";".join(f"{k}:{v}" for k, v in sorted(sm.terminations.items()))]
+                for sm in self.summaries]
+        write_csv(spath, ["solver", "n_ok", "n_failed", "mean_final_rel_grad",
+                          "mean_final_est_err", "mean_work_seconds", "terminations"], rows)
         written.append(spath)
         wpath = os.path.join(out_dir, "wall_times.json")
-        with open(wpath, "w") as fh:
-            json.dump({sm.solver: sm.mean_wall_seconds for sm in self.summaries},
-                      fh, indent=2, sort_keys=True, default=float)
-            fh.write("\n")
+        write_json(wpath, {sm.solver: sm.mean_wall_seconds for sm in self.summaries})
         written.append(wpath)
         return written
 
@@ -474,25 +457,15 @@ def export_instance(inst: ProblemInstance, out_dir: str, name: str = "instance")
     written.append(dpath)
     if inst.counts is not None:
         cpath = os.path.join(out_dir, f"{name}_counts.csv")
-        with open(cpath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "count"])
-            for i, v in enumerate(inst.counts):
-                w.writerow([i, format(float(v), ".17g")])
+        write_csv(cpath, ["row", "count"], enumerate(map(fmt, inst.counts)))
         written.append(cpath)
     if inst.beta_true is not None:
         bpath = os.path.join(out_dir, f"{name}_beta_true.csv")
-        with open(bpath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["column_label", "value"])
-            for lab, v in zip(inst.design.column_labels, inst.beta_true):
-                w.writerow([lab, format(float(v), ".17g")])
+        write_csv(bpath, ["column_label", "value"],
+                  zip(inst.design.column_labels, map(fmt, inst.beta_true)))
         written.append(bpath)
-    meta = {"schema": 1, "n_rows": inst.n_rows, "n_cols": inst.n_cols,
-            "kind": inst.design.kind}
     mpath = os.path.join(out_dir, f"{name}_meta.json")
-    with open(mpath, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(mpath, {"schema": 1, "n_rows": inst.n_rows, "n_cols": inst.n_cols,
+                       "kind": inst.design.kind})
     written.append(mpath)
     return written

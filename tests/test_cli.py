@@ -241,6 +241,47 @@ class TestRake:
         assert code == 1
 
 
+# Each file breaks one rule that every keyed CSV (counts, seed table, margin,
+# vector) obeys; the command must exit 1 and name the offending line.
+BAD_KEYED_INPUTS = {
+    "repeated seed cell": ("rake", "seed.csv",
+                           "row,col,value\n1,1,1\n1,2,1\n2,1,1\n2,2,1\n2,2,5\n", "seed.csv:6"),
+    "margin level 0": ("rake", "rows.csv", "row,target\n0,1\n1,3\n2,1\n", "rows.csv:2"),
+    "margin level m+1": ("rake", "rows.csv", "row,target\n1,3\n2,1\n3,0\n", "rows.csv:4"),
+    "nan margin target": ("rake", "rows.csv", "row,target\n1,nan\n2,1\n", "rows.csv:2"),
+    "inf margin target": ("rake", "rows.csv", "row,target\n1,3\n2,inf\n", "rows.csv:3"),
+    "repeated counts-vec row": ("fit-vec", "n.csv", "row,count\n0,3\n1,4\n1,5\n2,5\n", "n.csv:4"),
+    "counts level out of range": ("fit", "counts.csv", "row,col,count\n1,1,10\n1,3,20\n",
+                                  "counts.csv:3"),
+}
+
+GOOD_KEYED_INPUTS = {
+    "seed.csv": "row,col,value\n1,1,1\n1,2,1\n2,1,1\n2,2,1\n",
+    "rows.csv": "row,target\n1,3\n2,1\n",
+    "cols.csv": "col,target\n1,2\n2,2\n",
+    "design.csv": "row,col,value\n0,0,1\n1,0,1\n2,0,1\n",
+    "n.csv": "row,count\n0,3\n1,4\n2,5\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KEYED_INPUTS))
+def test_bad_keyed_input_rejected_with_line(tmp_path, capsys, case):
+    command, name, text, where = BAD_KEYED_INPUTS[case]
+    schema, counts = write_2x2_inputs(tmp_path)
+    for fname, good in GOOD_KEYED_INPUTS.items():
+        (tmp_path / fname).write_text(good)
+    (tmp_path / name).write_text(text)
+    argv = {
+        "rake": ["rake", "--schema", schema, "--seed-table", "seed.csv",
+                 "--margin", "rows.csv", "--margin", "cols.csv"],
+        "fit": ["fit", "--counts", counts, "--schema", schema],
+        "fit-vec": ["fit", "--design", "design.csv", "--counts-vec", "n.csv"],
+    }[command]
+    argv = [str(tmp_path / a) if a in GOOD_KEYED_INPUTS else a for a in argv]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 1
+    assert where in capsys.readouterr().err
+
+
 class TestPath:
     def test_path_outputs(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)
