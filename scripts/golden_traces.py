@@ -19,10 +19,18 @@ on a grouped table and on a triplet design with an offset, ``rake``,
 ``path``, ``bench`` and ``gen``.  Each command's output files are copied to
 ``cli-<name>/`` with its exit code, except the measured wall time:
 ``wall_times.json`` and the ``wall_seconds`` line of ``summary.json``.
+
+Last, ``designs.txt`` pins the table builders at full scale: for
+``build_table_design`` on the 10^4 x 523 and 10^5 x 8146 tables, the
+7^6-cell raking design with its 15 two-way margins, and
+``build_design_for_cells`` on a seeded half of the 10^4 x 523 table's cells,
+it records the shape, the kind, and a sha256 of the column labels and of
+each CSC array (``data``, ``indices``, ``indptr``) with its dtype.
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -32,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ipscale import (ProblemInstance, SolverConfig, SolverError, harness, read_triplet_csv, solve,
-                     write_triplet_csv)
+from ipscale import (ProblemInstance, SolverConfig, SolverError, TableSchema, build_raking_design,
+                     build_table_design, harness, read_triplet_csv, solve, write_triplet_csv)
+from ipscale.design import build_design_for_cells
 from ipscale.cli import main as cli_main
 from ipscale.solvers import _VARIANTS
 
@@ -187,6 +196,42 @@ def _run_cli(out: Path) -> None:
             print(out / f"cli-{name}", flush=True)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _design_digest(name: str, X, dropped=None) -> list[str]:
+    labels = "\n".join(X.column_labels).encode()
+    lines = [f"{name} shape {X.n_rows} {X.n_cols}", f"{name} kind {X.kind}",
+             f"{name} labels {_sha256(labels)}"]
+    if dropped is not None:
+        lines.append(f"{name} dropped {dropped}")
+    for part in ("data", "indices", "indptr"):
+        arr = getattr(X.matrix, part)
+        lines.append(f"{name} {part} {arr.dtype} {_sha256(arr.tobytes())}")
+    return lines
+
+
+def _write_designs(path: Path) -> None:
+    """Digests of the full-scale table designs: the moderate and large table
+    models, the 7^6 raking design and the moderate model on half its cells."""
+    moderate = TableSchema(tuple((f"f{k}", 10) for k in range(1, 5)), 2)
+    large = TableSchema(tuple((f"f{k}", 10) for k in range(1, 6)), 3)
+    rake = TableSchema(tuple((f"f{k}", 7) for k in range(1, 7)), 1)
+    rng = np.random.Generator(np.random.Philox(5))
+    half = rng.choice(moderate.n_cells, size=moderate.n_cells // 2, replace=False)
+    levels = np.array([moderate.cell_levels(i) for i in half.tolist()])
+    observed, dropped = build_design_for_cells(moderate, levels)
+    lines = [
+        *_design_digest("table-moderate", build_table_design(moderate)),
+        *_design_digest("table-large", build_table_design(large)),
+        *_design_digest("rake-large", build_raking_design(
+            rake, [(j, k) for j in range(6) for k in range(j + 1, 6)])),
+        *_design_digest("table-moderate-half", observed, dropped),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
@@ -203,6 +248,8 @@ def main() -> None:
                 path.write_text(_fit_text(inst, variant, beta_init, every))
                 print(path, flush=True)
     _run_cli(out)
+    _write_designs(out / "designs.txt")
+    print(out / "designs.txt", flush=True)
 
 
 if __name__ == "__main__":

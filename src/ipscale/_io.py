@@ -1,4 +1,4 @@
-"""The one output format of the package's CSV and JSON files.
+"""The one output format of the package's CSV and JSON files, and its JSON reader.
 
 A CSV has a header row and writes every float with 17 significant digits,
 so a round trip is lossless.  A JSON file is indented by two spaces, has
@@ -29,3 +29,13 @@ def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
+
+
+def read_json(path, error: type[Exception]):
+    """A JSON file's content; a file that cannot be opened, decoded or parsed
+    raises ``error`` naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc

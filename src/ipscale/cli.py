@@ -312,11 +312,8 @@ def cmd_rake(args) -> int:
     res = solve(inst, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    names = [n for n, _ in schema.factors]
-    cells = np.indices([m for _, m in schema.factors]).reshape(len(names), -1)
-    cells += 1
-    write_csv(os.path.join(args.out_dir, "adjusted.csv"), names + ["value"],
-              zip(*cells, map(fmt, inst.expand_mu(res.mu))))
+    write_csv(os.path.join(args.out_dir, "adjusted.csv"), [n for n, _ in schema.factors] + ["value"],
+              zip(*schema.level_grid(), map(fmt, inst.expand_mu(res.mu))))
 
     worst = 0.0
     worst_label = ""

@@ -9,18 +9,27 @@ A :class:`DesignMatrix` holds one matrix, and its kind decides the storage:
 
 The kind is read from the entries, and the storage chosen from it, in one
 place (``DesignMatrix._from_matrix``, shared by :meth:`DesignMatrix.from_dense`,
-:meth:`DesignMatrix.drop_rows` and :func:`read_triplet_csv`).  Every product
-is written with operators both storages share, so no caller branches on it.
+:meth:`DesignMatrix.drop_rows`, :func:`read_triplet_csv` and the table
+builders).  Every product is written with operators both storages share, so
+no caller branches on it.
 
 Cells of a multi-way table enumerate in row-major order of the factor
-levels, last factor fastest.  Dummy coding drops level 1 of every factor.
+levels, last factor fastest.  A table design is a list of terms, each a set
+of factors, and one builder (``_term_design``) codes them all: every term
+adds one block of columns, one per combination of its factors' levels in
+the same row-major order, and a cell falls in the column of its own levels.
+Levels count from 2 for the dummies of a table model (the intercept, the
+main effects and the interactions up to its order), so level 1 of every
+factor is the reference, and from 1 for the indicators of a raking design
+(the intercept and the margins).  The full table, the observed cells and
+the raking design differ only in their cells, terms and first level.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from ._io import fmt, write_csv, write_json
+from ._io import fmt, read_json, write_csv, write_json
 
 # Hard cap on table size so N = prod(levels) blow-ups fail loudly instead of
 # exhausting memory during construction.
@@ -88,9 +97,9 @@ class TableSchema:
             out *= m
         return out
 
-    def strides(self) -> np.ndarray:
-        """Cell-index stride of each factor (last factor fastest)."""
-        return np.array(self._strides, dtype=np.int64)
+    def level_grid(self) -> np.ndarray:
+        """(r, n_cells) 1-based factor levels of every cell, in cell order."""
+        return np.indices([m for _, m in self.factors]).reshape(self.n_factors, -1) + 1
 
     def cell_levels(self, index: int) -> tuple[int, ...]:
         """1-based factor levels of the cell at a flat index."""
@@ -127,8 +136,7 @@ class TableSchema:
 
     @classmethod
     def load(cls, path) -> "TableSchema":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, DesignError))
 
 
 def _dense(A) -> np.ndarray:
@@ -172,7 +180,7 @@ class DesignMatrix:
 
     ``matrix`` is a CSC array (sorted int64 indices, all values 1) when the
     design is binary and a C-contiguous float array otherwise; the choice is
-    made by kind in :meth:`_from_matrix` and :meth:`_finalize_binary` alone.
+    made by kind in :meth:`_from_matrix` alone.
     The products use only operators both storages share, so callers never
     see which one it is.  ``csc`` and ``dense`` are read-only views of
     ``matrix`` for the storage it has.  Immutable after construction; all
@@ -192,20 +200,10 @@ class DesignMatrix:
         self.row_sum_max = float(self._abs_row_sums.max())
         self.has_intercept = bool(np.all(_dense(matrix[:, [0]]) == 1.0))
         self._slope = _slope_view(matrix)
+        self._transpose = matrix.T
         self._pos_neg = None
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_columns(cls, n_rows: int, supports: list[np.ndarray], labels=None) -> "DesignMatrix":
-        """Binary design from per-column sorted row-index arrays."""
-        indptr = np.zeros(len(supports) + 1, dtype=np.int64)
-        for j, supp in enumerate(supports):
-            indptr[j + 1] = indptr[j] + len(supp)
-        indices = np.concatenate([np.asarray(s, dtype=np.int64) for s in supports]) if supports else np.zeros(0, np.int64)
-        data = np.ones(len(indices))
-        csc = sp.csc_array((data, indices, indptr), shape=(n_rows, len(supports)))
-        return cls._finalize_binary(csc, labels)
 
     @classmethod
     def from_dense(cls, arr, labels=None) -> "DesignMatrix":
@@ -220,19 +218,14 @@ class DesignMatrix:
         """Classify a sparse or dense float matrix by its entries and store it
         as its kind requires: CSC when binary, dense otherwise."""
         kind = _classify(A.data if sp.issparse(A) else A)
-        if kind == KIND_BINARY:
-            return cls._finalize_binary(sp.csc_array(A), labels)
-        return cls(_dense(A), kind, labels)
-
-    @classmethod
-    def _finalize_binary(cls, csc: sp.csc_array, labels) -> "DesignMatrix":
-        csc = csc.astype(np.float64)
+        if kind != KIND_BINARY:
+            return cls(_dense(A), kind, labels)
+        csc = sp.csc_array(A).astype(np.float64, copy=False)
         csc.sort_indices()
-        n, p = csc.shape
         if csc.indices.dtype != np.int64:
             csc = sp.csc_array(
                 (csc.data, csc.indices.astype(np.int64), csc.indptr.astype(np.int64)),
-                shape=(n, p))
+                shape=csc.shape)
         return cls(csc, KIND_BINARY, labels)
 
     @staticmethod
@@ -299,7 +292,7 @@ class DesignMatrix:
         return self.matrix @ b
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ v
+        return self._transpose @ v
 
     def slope_matvec(self, b_slope: np.ndarray) -> np.ndarray:
         """X[:, 1:] @ b_slope (intercept column excluded)."""
@@ -427,21 +420,45 @@ def _pair_index(A):
 # -- contingency-table designs ---------------------------------------------
 
 
-def _combo_support(schema: TableSchema, constrained: list[tuple[int, int]]) -> np.ndarray:
-    """Sorted cell indices matching the given (factor, 0-based level) pins.
+def _table_terms(schema: TableSchema) -> list[tuple[int, ...]]:
+    """Terms of the table model: the intercept, then every factor subset of
+    size 1 .. ``interaction_order``, smaller subsets first."""
+    r = schema.n_factors
+    return [()] + [t for k in range(1, schema.interaction_order + 1)
+                   for t in itertools.combinations(range(r), k)]
 
-    Built by accumulating the free factors' stride grids, most significant
-    first, so the result comes out sorted without an explicit sort.
+
+def _term_design(schema: TableSchema, levels: np.ndarray, terms, first: int):
+    """COO matrix and column labels of a term-coded design over some cells.
+
+    ``levels`` is an (r, n) array of 1-based factor levels, one column per
+    cell.  Each term, a sorted tuple of factors, adds one column block: a
+    column per combination of its factors' levels ``first .. m_k``, in
+    row-major order (last factor fastest).  A cell has a 1 in the column of
+    its own levels on the term, and in none of the block when one of them is
+    below ``first``: 2 gives dummy coding, 1 margin indicators.
     """
-    strides = schema.strides()
-    pinned = dict(constrained)
-    base = sum(strides[k] * lev for k, lev in pinned.items())
-    idx = np.array([base], dtype=np.int64)
-    for k, (_, m) in enumerate(schema.factors):
-        if k in pinned:
-            continue
-        idx = (idx[:, None] + strides[k] * np.arange(m, dtype=np.int64)[None, :]).ravel()
-    return idx
+    names = [n for n, _ in schema.factors]
+    sizes = [m for _, m in schema.factors]
+    n = levels.shape[1]
+    every = np.arange(n)
+    rows, cols, labels = [], [], []
+    for term in terms:
+        code = np.zeros(n, dtype=np.int64)
+        for k in term:
+            code *= sizes[k] - first + 1
+            code += levels[k] - first
+        code += len(labels)
+        cells = every  # levels count from 1, so with first = 1 every cell is in the block
+        if first > 1:
+            cells = np.flatnonzero(levels[list(term)].min(axis=0, initial=first) >= first)
+            code = code[cells]
+        rows.append(cells)
+        cols.append(code)
+        labels += ["*".join(f"{names[k]}={lev}" for k, lev in zip(term, combo)) or "(intercept)"
+                   for combo in itertools.product(*(range(first, sizes[k] + 1) for k in term))]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, len(labels))), labels
 
 
 def build_table_design(schema: TableSchema) -> DesignMatrix:
@@ -452,9 +469,8 @@ def build_table_design(schema: TableSchema) -> DesignMatrix:
     factor pair/triple up to ``interaction_order``, levels enumerated
     lexicographically.
     """
-    columns = table_column_supports(schema)
-    supports = [_combo_support(schema, constraint) for constraint, _ in columns]
-    return DesignMatrix.from_columns(schema.n_cells, supports, [label for _, label in columns])
+    return DesignMatrix._from_matrix(
+        *_term_design(schema, schema.level_grid(), _table_terms(schema), 2))
 
 
 def _canonical_margins(schema: TableSchema, margins_spec) -> list[tuple[int, ...]]:
@@ -490,48 +506,8 @@ def build_raking_design(schema: TableSchema, margins_spec) -> DesignMatrix:
     reference level dropped).  The fitted mean's inner product with a
     margin column is exactly that margin of the table.
     """
-    margins = _canonical_margins(schema, margins_spec)
-    names = [n for n, _ in schema.factors]
-    sizes = [m for _, m in schema.factors]
-    supports: list[np.ndarray] = [np.arange(schema.n_cells, dtype=np.int64)]
-    labels = ["(intercept)"]
-    for subset in margins:
-        ranges = [range(1, sizes[k] + 1) for k in subset]
-        for combo in itertools.product(*ranges):
-            supports.append(_combo_support(schema, [(k, lev - 1) for k, lev in zip(subset, combo)]))
-            labels.append("*".join(f"{names[k]}={lev}" for k, lev in zip(subset, combo)))
-    return DesignMatrix.from_columns(schema.n_cells, supports, labels)
-
-
-def table_column_supports(schema: TableSchema):
-    """(constraints, label) per model column, in build_table_design order.
-
-    A constraint is a list of (factor, 0-based level) pins; the intercept has
-    none.  Shared by the full-table builder and the observed-cells builder so
-    both enumerate identical columns.
-    """
-    r = schema.n_factors
-    names = [n for n, _ in schema.factors]
-    sizes = [m for _, m in schema.factors]
-    out = [([], "(intercept)")]
-    for k in range(r):
-        for lev in range(2, sizes[k] + 1):
-            out.append(([(k, lev - 1)], f"{names[k]}={lev}"))
-    if schema.interaction_order >= 2:
-        for j, k in itertools.combinations(range(r), 2):
-            for lj in range(2, sizes[j] + 1):
-                for lk in range(2, sizes[k] + 1):
-                    out.append(([(j, lj - 1), (k, lk - 1)], f"{names[j]}={lj}*{names[k]}={lk}"))
-    if schema.interaction_order >= 3:
-        for j, k, l in itertools.combinations(range(r), 3):
-            for lj in range(2, sizes[j] + 1):
-                for lk in range(2, sizes[k] + 1):
-                    for ll in range(2, sizes[l] + 1):
-                        out.append((
-                            [(j, lj - 1), (k, lk - 1), (l, ll - 1)],
-                            f"{names[j]}={lj}*{names[k]}={lk}*{names[l]}={ll}",
-                        ))
-    return out
+    terms = [()] + _canonical_margins(schema, margins_spec)
+    return DesignMatrix._from_matrix(*_term_design(schema, schema.level_grid(), terms, 1))
 
 
 def build_design_for_cells(schema: TableSchema, level_rows: np.ndarray,
@@ -546,45 +522,25 @@ def build_design_for_cells(schema: TableSchema, level_rows: np.ndarray,
     level_rows = np.asarray(level_rows, dtype=np.int64)
     if level_rows.ndim != 2 or level_rows.shape[1] != schema.n_factors:
         raise DesignError("level rows must be (n_obs, n_factors)")
+    if level_rows.shape[0] == 0:
+        raise DesignError("no observed cells")
     for k, (name, m) in enumerate(schema.factors):
         col = level_rows[:, k]
         if col.min() < 1 or col.max() > m:
             raise DesignError(f"level out of range for factor {name!r}")
-    lev0 = level_rows - 1
-    supports = []
-    labels = []
-    dropped = []
-    n_obs = level_rows.shape[0]
-    for constraint, label in table_column_supports(schema):
-        if not constraint:
-            supp = np.arange(n_obs, dtype=np.int64)
-        else:
-            mask = np.ones(n_obs, dtype=bool)
-            for k, lv in constraint:
-                mask &= lev0[:, k] == lv
-            supp = np.nonzero(mask)[0]
-        if len(supp) == 0:
-            if drop_empty:
-                dropped.append(label)
-                continue
-            raise DesignError(f"column {label!r} is all-zero on the observed cells")
-        supports.append(supp)
-        labels.append(label)
-    return DesignMatrix.from_columns(n_obs, supports, labels), dropped
+    coo, labels = _term_design(schema, level_rows.T, _table_terms(schema), 2)
+    used = np.bincount(coo.col, minlength=len(labels)) > 0
+    dropped = [label for label, u in zip(labels, used) if not u]
+    if dropped and not drop_empty:
+        raise DesignError(f"column {dropped[0]!r} is all-zero on the observed cells")
+    kept = [label for label, u in zip(labels, used) if u]
+    return DesignMatrix._from_matrix(coo.tocsc()[:, used], kept), dropped
 
 
 def expected_column_count(schema: TableSchema) -> int:
-    """Closed-form independent-parameter count of the table model."""
-    sizes = [m for _, m in schema.factors]
-    p = 1 + sum(m - 1 for m in sizes)
-    if schema.interaction_order >= 2:
-        p += sum((sizes[j] - 1) * (sizes[k] - 1) for j, k in itertools.combinations(range(len(sizes)), 2))
-    if schema.interaction_order >= 3:
-        p += sum(
-            (sizes[j] - 1) * (sizes[k] - 1) * (sizes[l] - 1)
-            for j, k, l in itertools.combinations(range(len(sizes)), 3)
-        )
-    return p
+    """Independent-parameter count of the table model: the sizes of its
+    term blocks."""
+    return sum(math.prod(schema.factors[k][1] - 1 for k in term) for term in _table_terms(schema))
 
 
 # -- triplet CSV interchange -------------------------------------------------
@@ -606,24 +562,27 @@ def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatri
     A (row, col) pair given twice is an error.
     """
     rows, cols, vals = array("q"), array("q"), array("d")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["row", "col", "value"]:
-            raise DesignError(f"{path}: expected header 'row,col,value'")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                i, j, v = int(rec[0]), int(rec[1]), float(rec[2])
-            except (ValueError, IndexError) as exc:
-                raise DesignError(f"{path}:{lineno}: bad triplet record: {exc}") from exc
-            if i < 0 or j < 0 or (n_rows is not None and i >= n_rows) \
-                    or (n_cols is not None and j >= n_cols):
-                raise DesignError(f"{path}:{lineno}: index ({i}, {j}) out of range")
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:3]] != ["row", "col", "value"]:
+                raise DesignError(f"{path}: expected header 'row,col,value'")
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                try:
+                    i, j, v = int(rec[0]), int(rec[1]), float(rec[2])
+                except (ValueError, IndexError) as exc:
+                    raise DesignError(f"{path}:{lineno}: bad triplet record: {exc}") from exc
+                if i < 0 or j < 0 or (n_rows is not None and i >= n_rows) \
+                        or (n_cols is not None and j >= n_cols):
+                    raise DesignError(f"{path}:{lineno}: index ({i}, {j}) out of range")
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DesignError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DesignError(f"{path}: no entries")
     rows, cols, vals = (np.frombuffer(a, dtype=a.typecode) for a in (rows, cols, vals))

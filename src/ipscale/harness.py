@@ -14,14 +14,13 @@ wall-time curves (not reproducible across runs).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import model as mdl
-from ._io import fmt, write_csv, write_json
+from ._io import fmt, read_json, write_csv, write_json
 from .design import DesignMatrix, TableSchema, build_table_design, write_triplet_csv
 from .model import ProblemInstance, philox_rng
 from .solvers import FitResult, SolverConfig, l1_ips_fit, solve
@@ -83,8 +82,7 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, HarnessError))
 
 
 def _instance_rng(spec: ExperimentSpec, replication: int) -> np.random.Generator:

@@ -436,16 +436,17 @@ class _CDFamily(_RawState):
     def step(self, run: _Run) -> str:
         beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP, self.lam
         pearson, nsq, supports, divergent = self.pearson, self.nsq, self.supports, self.divergent
-        log, exp = np.log, np.exp
+        log, exp, add = np.log, np.exp, np.add.reduce
         order = self.order()
         track = self.track_g2 and order[0] == 0
         changed = False
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for j in order:
                 supp = supports[j]
-                den = mu[supp].sum()
+                mu_j = mu[supp]
+                den = add(mu_j)
                 if pearson:
-                    num = (nsq[supp] / mu[supp]).sum()
+                    num = add(nsq[supp] / mu_j)
                     if num > 0.0 and den > 0.0 and np.isfinite(num):
                         b_new = beta[j] + 0.5 * log(num / den)
                         if not -B <= b_new <= B:
@@ -462,7 +463,7 @@ class _CDFamily(_RawState):
                     num = s[j]
                     if num > 0.0 and den > 0.0:
                         b_new = beta[j] + log(num / den)
-                        if not -B <= b_new <= B or not np.isfinite(b_new):
+                        if not -B <= b_new <= B:  # also catches NaN and inf
                             b_new = min(max(b_new, -B), B)
                             divergent.add(j)
                     else:
@@ -470,7 +471,8 @@ class _CDFamily(_RawState):
                         divergent.add(j)
                 d = b_new - beta[j]
                 if d != 0.0:
-                    mu[supp] *= exp(d)
+                    mu_j *= exp(d)
+                    mu[supp] = mu_j
                     beta[j] = b_new
                     changed = True
                 if track:

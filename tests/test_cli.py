@@ -282,6 +282,40 @@ def test_bad_keyed_input_rejected_with_line(tmp_path, capsys, case):
     assert where in capsys.readouterr().err
 
 
+# Input files that cannot be opened, decoded or parsed: each is an input
+# error naming the file, never an internal error.
+UNREADABLE_INPUTS = {
+    "missing schema": ("fit-schema", "nope.json", None),
+    "malformed schema": ("fit-schema", "bad.json", b"{bad"),
+    "missing design": ("fit-design", "nope.csv", None),
+    "non-UTF-8 design": ("fit-design", "bad.csv", b"row,col,value\n0,0,\xff\n"),
+    "missing spec": ("bench", "nope.json", None),
+    "malformed spec": ("bench", "bad.json", b"{bad"),
+    "missing rake schema": ("rake", "nope.json", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_1_naming_the_file(tmp_path, capsys, case):
+    command, name, content = UNREADABLE_INPUTS[case]
+    _, counts = write_2x2_inputs(tmp_path)
+    for fname, good in GOOD_KEYED_INPUTS.items():
+        (tmp_path / fname).write_text(good)
+    bad = tmp_path / name
+    if content is not None:
+        bad.write_bytes(content)
+    argv = {
+        "fit-schema": ["fit", "--counts", counts, "--schema", str(bad)],
+        "fit-design": ["fit", "--design", str(bad), "--counts-vec", str(tmp_path / "n.csv")],
+        "bench": ["bench", "--spec", str(bad)],
+        "rake": ["rake", "--schema", str(bad), "--seed-table", str(tmp_path / "seed.csv"),
+                 "--margin", str(tmp_path / "rows.csv")],
+    }[command]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "internal error" not in err
+
+
 class TestPath:
     def test_path_outputs(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipscale.design import (
@@ -219,6 +219,81 @@ class TestObservedCellDesign:
         X, dropped = build_design_for_cells(schema, levels)
         assert dropped == ["a=3"]
         assert X.n_cols == 3
+
+
+def table_labels(schema: TableSchema) -> list[str]:
+    """Column labels of the table model, in the column order of ``dense_table_design``."""
+    names = [n for n, _ in schema.factors]
+    sizes = [m for _, m in schema.factors]
+    labels = ["(intercept)"]
+    for order in range(1, schema.interaction_order + 1):
+        for combo in itertools.combinations(range(len(sizes)), order):
+            for levs in itertools.product(*[range(2, sizes[k] + 1) for k in combo]):
+                labels.append("*".join(f"{names[k]}={lev}" for k, lev in zip(combo, levs)))
+    return labels
+
+
+def table_cells(schema: TableSchema) -> np.ndarray:
+    """(N, r) 1-based levels of every cell, last factor fastest."""
+    grids = np.meshgrid(*[np.arange(1, m + 1) for _, m in schema.factors], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@st.composite
+def _schemas(draw):
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    return TableSchema(tuple((f"f{k}", m) for k, m in enumerate(sizes)), draw(st.integers(1, 3)))
+
+
+class TestTermCodedDesigns:
+    """The observed-cell and raking builders against dense constructions."""
+
+    @settings(deadline=None)
+    @given(_schemas(), st.integers(0, 2**16), st.floats(0.0, 1.0), st.booleans())
+    def test_observed_cells_match_dense_rows(self, schema, seed, frac, hide_level):
+        rng = make_rng(seed)
+        cells = table_cells(schema)
+        allowed = np.ones(len(cells), dtype=bool)
+        if hide_level:  # one level of one factor is never observed
+            k = int(rng.integers(schema.n_factors))
+            allowed &= cells[:, k] != int(rng.integers(1, schema.factors[k][1] + 1))
+        candidates = rng.permutation(np.flatnonzero(allowed))
+        rows = candidates[:max(1, int(frac * len(candidates)))]
+        want = dense_table_design(schema)[rows]
+        used = want.any(axis=0)
+        labels = table_labels(schema)
+        X, dropped = build_design_for_cells(schema, cells[rows])
+        assert np.array_equal(X.toarray(), want[:, used])
+        assert X.column_labels == [lab for lab, u in zip(labels, used) if u]
+        assert dropped == [lab for lab, u in zip(labels, used) if not u]
+        if dropped:
+            with pytest.raises(DesignError, match="all-zero"):
+                build_design_for_cells(schema, cells[rows], drop_empty=False)
+
+    @settings(deadline=None)
+    @given(_schemas(), st.data())
+    def test_raking_design_matches_dense_margin_indicators(self, schema, data):
+        r = schema.n_factors
+        names = [n for n, _ in schema.factors]
+        margins = data.draw(st.lists(
+            st.lists(st.integers(0, r - 1), min_size=1, max_size=min(3, r), unique=True),
+            min_size=1, max_size=4, unique_by=lambda m: tuple(sorted(m))))
+        cells = table_cells(schema)
+        cols, labels = [np.ones(len(cells))], ["(intercept)"]
+        for margin in margins:
+            margin = sorted(margin)
+            for levs in itertools.product(*[range(1, schema.factors[k][1] + 1) for k in margin]):
+                cols.append(np.all(cells[:, margin] == levs, axis=1).astype(float))
+                labels.append("*".join(f"{names[k]}={lev}" for k, lev in zip(margin, levs)))
+        # margins named in drawn factor order, which need not be sorted
+        X = build_raking_design(schema, [[names[k] for k in m] for m in margins])
+        assert np.array_equal(X.toarray(), np.stack(cols, axis=1))
+        assert X.column_labels == labels
+
+    def test_no_observed_cells_rejected(self):
+        schema = TableSchema(factors=(("a", 3), ("b", 2)), interaction_order=1)
+        with pytest.raises(DesignError, match="no observed cells"):
+            build_design_for_cells(schema, np.zeros((0, 2), dtype=np.int64))
 
 
 class TestTripletCsv:
