@@ -3,8 +3,9 @@
 
 Usage: python scripts/golden_traces.py OUT_DIR
 
-Fits each variant with a fixed seed on small harness instances, at
-record_every 1 and 5, and writes one text file per fit: the termination,
+Fits each variant with a fixed seed on small harness instances (one of
+them the table model on a seeded subset of its cells), at record_every 1
+and 5, and writes one text file per fit: the termination,
 the flags, the coefficients and every trace record except its wall
 seconds.  The table and general instances are fitted a second time on
 their design after a triplet CSV round trip (``write_triplet_csv`` to a
@@ -79,12 +80,24 @@ def _design_text(X) -> str:
     ]) + "\n"
 
 
+def _observed_cells(table):
+    """The 0.3-scale table model on a seeded two thirds of its 3^4 cells: the
+    columns of one term then have unequal supports, so the disjoint runs of
+    l1-ips and x2-ips vary in length and support size."""
+    schema = TableSchema(tuple((f"f{k}", 3) for k in range(1, 5)), 2)
+    rng = np.random.Generator(np.random.Philox(7))
+    cells = np.sort(rng.choice(schema.n_cells, size=2 * schema.n_cells // 3, replace=False))
+    X, _ = build_design_for_cells(schema, schema.level_grid()[:, cells].T)
+    return ProblemInstance.from_counts(X, table.counts[cells])
+
+
 def _instances(tmp: Path) -> dict:
     table = harness.gen_instance(harness.ExperimentSpec("table-moderate", scale_factor=0.3))
     general = harness.gen_instance(harness.ExperimentSpec("general", scale_factor=0.01))
     optimum = solve(table, SolverConfig(variant="b-ips", eps_tol=1e-10)).beta
     return {
         "table": (table, None),
+        "table-observed": (_observed_cells(table), None),
         # every variant started at a converged optimum: exercises the fixed-point exit
         "table-warm": (table, optimum),
         "nonneg": (harness.gen_instance(harness.ExperimentSpec("nonneg-small", scale_factor=0.1)), None),

@@ -57,16 +57,24 @@ class InputError(ValueError):
 def _csv_records(path):
     """A CSV's stripped header, and its non-empty records with their line numbers."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}:1: empty file, expected a header row")
-        yield [h.strip() for h in header], (
-            (lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}:1: empty file, expected a header row")
+            yield [h.strip() for h in header], (
+                (lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+        except UnicodeDecodeError as exc:
+            # the text layer decodes in chunks, so the record count is no guide:
+            # the first undecodable byte is the first replacement character
+            with open(path, encoding="utf-8", errors="replace", newline="") as text:
+                data = text.read()
+            lineno = data.count("\n", 0, data.find("\ufffd")) + 1
+            raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _key_text(names, levels) -> str:

@@ -127,7 +127,7 @@ class TableSchema:
         try:
             factors = tuple((f["name"], int(f["levels"])) for f in d["factors"])
             order = int(d.get("order", 1))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DesignError(f"malformed schema: {exc}") from exc
         return cls(factors=factors, interaction_order=order)
 
@@ -202,6 +202,7 @@ class DesignMatrix:
         self._slope = _slope_view(matrix)
         self._transpose = matrix.T
         self._pos_neg = None
+        self._runs = None
 
     # -- constructors -----------------------------------------------------
 
@@ -275,6 +276,31 @@ class DesignMatrix:
             raise DesignError("col_support requires a binary design")
         M = self.matrix
         return M.indices[M.indptr[j]:M.indptr[j + 1]]
+
+    def disjoint_runs(self) -> list[tuple[int, np.ndarray]]:
+        """The column order 0..p-1 cut into maximal runs of consecutive
+        columns whose supports are pairwise disjoint and all of one size n
+        (binary designs only).  The columns of a run commute under coordinate
+        updates, so a cyclic sweep may update a run at once; on a table model
+        a run is the levels of one term.  Each run is its first column and its
+        (k, n) row indices, a view of the CSC indices.  Computed once.
+        """
+        if self._runs is None:
+            if self.kind != KIND_BINARY:
+                raise DesignError("disjoint_runs requires a binary design")
+            indices, ptr = self.matrix.indices, self.matrix.indptr.tolist()
+            covered = np.zeros(self.n_rows, dtype=bool)
+            covered[indices[:ptr[1]]] = True
+            starts = [0]
+            for j in range(1, self.n_cols):
+                a, supp = starts[-1], indices[ptr[j]:ptr[j + 1]]
+                if ptr[j + 1] - ptr[j] != ptr[a + 1] - ptr[a] or covered[supp].any():
+                    covered[indices[ptr[a]:ptr[j]]] = False
+                    starts.append(j)
+                covered[supp] = True
+            bounds = zip(starts, starts[1:] + [self.n_cols])
+            self._runs = [(a, indices[ptr[a]:ptr[b]].reshape(b - a, -1)) for a, b in bounds]
+        return self._runs
 
     def columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(sorted row indices, values) of the nonzero entries of every column."""

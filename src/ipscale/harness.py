@@ -14,6 +14,7 @@ wall-time curves (not reproducible across runs).
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -54,6 +55,12 @@ class ExperimentSpec:
     n_cols: int | None = None
 
     def __post_init__(self):
+        for name in ("replications", "scale_factor", "seed", "eps_tol", "t_max_secs",
+                     "max_iters", "table_setting", "n_rows", "n_cols"):
+            value = getattr(self, name)
+            optional = name in ("n_rows", "n_cols")
+            if not (isinstance(value, numbers.Real) or optional and value is None):
+                raise HarnessError(f"{name} must be a number, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise HarnessError(f"unknown scenario {self.scenario!r}; one of {SCENARIOS}")
         if self.replications < 1:
@@ -71,6 +78,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise HarnessError(f"malformed experiment spec: expected an object, got {d!r:.40}")
         fields = {k: v for k, v in d.items() if k != "schema"}
         try:
             return cls(**fields)

@@ -389,7 +389,14 @@ class _ProfiledState(_Family):
 
 class _CDFamily(_RawState):
     """One cyclic (or, for a-ips, freshly permuted) sweep of closed-form
-    coordinate updates per step."""
+    coordinate updates per step.
+
+    l1-ips and x2-ips sweep the design's disjoint runs
+    (:meth:`DesignMatrix.disjoint_runs`): the columns of a run have disjoint
+    supports of one size, so their updates commute and one vectorized update
+    of the run gives the bits of the per-coordinate loop.  ips and a-ips
+    update one coordinate at a time.
+    """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str, perm_fn=None):
         X = inst.design
@@ -407,7 +414,11 @@ class _CDFamily(_RawState):
         p = X.n_cols
         self.pearson, self.lam = pearson, lam
         self.nsq = inst.counts * inst.counts if pearson else None
-        self.supports = [rows for rows, _ in X.columns()]
+        if variant in ("l1-ips", "x2-ips"):
+            self.runs = X.disjoint_runs()
+        else:
+            self.runs = None
+            self.supports = [rows for rows, _ in X.columns()]
         rng = philox_rng(cfg.seed)
         perm = perm_fn or (lambda rng, p: rng.permutation(p))
         self.order = (lambda: perm(rng, p)) if variant == "a-ips" else (lambda: range(p))
@@ -433,54 +444,93 @@ class _CDFamily(_RawState):
             return float(np.max(l1_kkt_residuals(self.inst, self.c.beta, self.c.mu, self.lam)))
         return super().grad_norm()
 
+    def _track_g2(self) -> None:
+        self.diagnostics["g2_after_intercept"].append(mdl.g_squared(self.inst.counts, self.c.mu))
+
     def step(self, run: _Run) -> str:
-        beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP, self.lam
-        pearson, nsq, supports, divergent = self.pearson, self.nsq, self.supports, self.divergent
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            changed = self._coordinate_sweep() if self.runs is None else self._run_sweep()
+        if changed:
+            run.work += self.sweep_work
+        return _step_outcome(changed)
+
+    def _coordinate_sweep(self) -> bool:
+        beta, mu, s, B = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP
+        supports, divergent = self.supports, self.divergent
         log, exp, add = np.log, np.exp, np.add.reduce
         order = self.order()
         track = self.track_g2 and order[0] == 0
         changed = False
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for j in order:
-                supp = supports[j]
-                mu_j = mu[supp]
-                den = add(mu_j)
-                if pearson:
-                    num = add(nsq[supp] / mu_j)
-                    if num > 0.0 and den > 0.0 and np.isfinite(num):
-                        b_new = beta[j] + 0.5 * log(num / den)
-                        if not -B <= b_new <= B:
-                            b_new = min(max(b_new, -B), B)
-                            divergent.add(j)
-                    else:
-                        b_new = -B if num <= 0.0 else B
-                        divergent.add(j)
-                elif lam > 0.0 and j != 0:
-                    b_new = l1_threshold_update(j, beta[j], s[j], den, lam, B)
-                    if not -B < b_new < B:  # clamped, or NaN
-                        divergent.add(j)
-                else:
-                    num = s[j]
-                    if num > 0.0 and den > 0.0:
-                        b_new = beta[j] + log(num / den)
-                        if not -B <= b_new <= B:  # also catches NaN and inf
-                            b_new = min(max(b_new, -B), B)
-                            divergent.add(j)
-                    else:
-                        b_new = -B if num <= 0.0 else B
-                        divergent.add(j)
-                d = b_new - beta[j]
-                if d != 0.0:
-                    mu_j *= exp(d)
-                    mu[supp] = mu_j
-                    beta[j] = b_new
-                    changed = True
-                if track:
-                    self.diagnostics["g2_after_intercept"].append(mdl.g_squared(self.inst.counts, mu))
-                    track = False
-        if changed:
-            run.work += self.sweep_work
-        return _step_outcome(changed)
+        for j in order:
+            supp = supports[j]
+            mu_j = mu[supp]
+            den = add(mu_j)
+            num = s[j]
+            if num > 0.0 and den > 0.0:
+                b_new = beta[j] + log(num / den)
+                if not -B <= b_new <= B:  # also catches NaN and inf
+                    b_new = min(max(b_new, -B), B)
+                    divergent.add(j)
+            else:
+                b_new = -B if num <= 0.0 else B
+                divergent.add(j)
+            d = b_new - beta[j]
+            if d != 0.0:
+                mu_j *= exp(d)
+                mu[supp] = mu_j
+                beta[j] = b_new
+                changed = True
+            if track:
+                self._track_g2()
+                track = False
+        return changed
+
+    def _run_sweep(self) -> bool:
+        """One cyclic sweep, one disjoint run at a time.  Each row sum of the
+        C-contiguous gather ``mu[R]`` adds the same numbers in the same order
+        as the per-coordinate ``np.add.reduce(mu[supp])``."""
+        beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP, self.lam
+        add = np.add.reduce
+        changed = False
+        for a, R in self.runs:
+            b = a + len(R)
+            M = mu[R]
+            den = add(M, axis=1)
+            beta_r = beta[a:b]
+            if self.pearson:
+                b_new, clamped = _scaling_update(beta_r, add(self.nsq[R] / M, axis=1), den, 0.5)
+            elif lam > 0.0 and a != 0:
+                b_new = l1_threshold_update(range(a, b), beta_r, s[a:b], den, lam, B)
+                clamped = ~((-B < b_new) & (b_new < B))  # clamped, or NaN
+            else:
+                b_new, clamped = _scaling_update(beta_r, s[a:b], den, 1.0)
+            d = b_new - beta_r
+            moved = d != 0.0
+            if moved.any():
+                M *= np.exp(d)[:, None]
+                mu[R] = M
+                np.copyto(beta_r, b_new, where=moved)  # an unmoved -0.0 stays -0.0
+                changed = True
+            if clamped.any():
+                self.divergent.update((a + np.flatnonzero(clamped)).tolist())
+            if self.track_g2 and a == 0:
+                self._track_g2()
+        return changed
+
+
+def _scaling_update(beta: np.ndarray, num: np.ndarray, den: np.ndarray, power: float):
+    """The closed-form update beta + power * log(num / den), elementwise,
+    clamped to +-BETA_CLAMP, and the mask of the coordinates it clamped.
+
+    A coordinate whose ratio is not positive and finite goes to the bound
+    its numerator points to.
+    """
+    B = BETA_CLAMP
+    b_new = beta + power * np.log(num / den)
+    inside = (-B <= b_new) & (b_new <= B)  # false for NaN and inf
+    ok = (num > 0.0) & (den > 0.0) & np.isfinite(num)
+    b_new = np.where(ok, np.minimum(np.maximum(b_new, -B), B), np.where(num <= 0.0, -B, B))
+    return b_new, ~(ok & inside)
 
 
 def _cd_fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str, perm_fn=None) -> FitResult:
@@ -504,20 +554,22 @@ def l1_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
     return _cd_fit(inst, cfg, "l1-ips")
 
 
-def l1_threshold_update(j: int, beta_j: float, s_j: float, col_mu_sum: float,
-                        lam: float, clamp: float = BETA_CLAMP) -> float:
+def l1_threshold_update(j, beta_j, s_j, col_mu_sum, lam: float, clamp: float = BETA_CLAMP):
     """Soft-thresholded coordinate update for a penalized binary column.
 
     Returns the new beta_j given the current column statistics; the zero
-    branch is taken on ties |delta| = lam.
+    branch is taken on ties |delta| = lam.  Elementwise: ``j`` names the
+    coordinate (or an array of them) and the statistics may be arrays of
+    the same shape; a scalar call returns a scalar.
     """
-    delta = s_j - np.exp(-beta_j) * col_mu_sum
-    if lam > 0.0 and abs(delta) <= lam:
-        return 0.0
-    num = s_j - lam * np.sign(delta)
-    if num <= 0.0 or col_mu_sum <= 0.0:
-        return -clamp if num <= 0.0 else clamp
-    return float(min(max(beta_j + np.log(num / col_mu_sum), -clamp), clamp))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        delta = s_j - np.exp(-beta_j) * col_mu_sum
+        num = s_j - lam * np.sign(delta)
+        b_new = np.minimum(np.maximum(beta_j + np.log(num / col_mu_sum), -clamp), clamp)
+    b_new = np.where(num <= 0.0, -clamp, np.where(col_mu_sum <= 0.0, clamp, b_new))
+    if lam > 0.0:
+        b_new = np.where(np.abs(delta) <= lam, 0.0, b_new)
+    return b_new[()]
 
 
 def l1_kkt_residuals(inst: ProblemInstance, beta: np.ndarray, mu: np.ndarray,

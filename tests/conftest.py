@@ -45,6 +45,30 @@ def _counts_for(rng, design: DesignMatrix, beta_scale: float = 0.3) -> tuple[np.
     return counts, beta_star
 
 
+def random_run_design(rng, n_rows: int = 24, n_blocks: int = 5) -> DesignMatrix:
+    """Random binary design with an intercept, built from blocks of columns
+    that are disjoint with one support size, disjoint with unequal support
+    sizes, or random and overlapping, so that its disjoint runs vary in
+    length and support size (n_rows >= 10)."""
+    cols = [np.ones(n_rows, dtype=bool)]
+    for _ in range(n_blocks):
+        kind, k = int(rng.integers(3)), int(rng.integers(1, 5))
+        perm = rng.permutation(n_rows)
+        if kind == 0:  # disjoint, one size
+            cuts = np.arange(k + 1) * int(rng.integers(1, n_rows // k + 1))
+        elif kind == 1:  # disjoint, sizes 1..k in random order
+            cuts = np.concatenate([[0], np.cumsum(rng.permutation(k) + 1)])
+        for i in range(k):
+            col = np.zeros(n_rows, dtype=bool)
+            if kind == 2:  # overlapping
+                col[rng.random(n_rows) < 0.4] = True
+                col[perm[i]] = True
+            else:
+                col[perm[cuts[i]:cuts[i + 1]]] = True
+            cols.append(col)
+    return DesignMatrix.from_dense(np.array(cols, dtype=float).T)
+
+
 def random_binary_instance(seed: int, n_rows: int = 50, n_cols: int = 8) -> ProblemInstance:
     rng = make_rng(seed)
     X = random_binary_design(rng, n_rows, n_cols)

@@ -316,6 +316,61 @@ def test_unreadable_input_exits_1_naming_the_file(tmp_path, capsys, case):
     assert str(bad) in err and "internal error" not in err
 
 
+# Keyed CSVs holding bytes that are not UTF-8: an input error naming the
+# file and the line of the first bad byte, however far the decoder read ahead.
+NON_UTF8_KEYED_INPUTS = {
+    "grouped counts": ("fit", "counts.csv",
+                       b"row,col,count\n1,1,10\n1,2,\xff\n2,1,50\n2,2,20\n", "counts.csv:3"),
+    "seed table": ("rake", "seed.csv", b"row,col,value\n1,1,1\n1,2,1\n2,1,1\n2,2,\xfe1\n",
+                   "seed.csv:5"),
+    "margin header": ("rake", "rows.csv", b"r\xffow,target\n1,3\n2,1\n", "rows.csv:1"),
+    "count vector": ("fit-vec", "n.csv", b"row,count\n0,3\n1,4\n2,5\xc3\n", "n.csv:4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_KEYED_INPUTS))
+def test_non_utf8_keyed_input_exits_1_naming_the_line(tmp_path, capsys, case):
+    command, name, content, where = NON_UTF8_KEYED_INPUTS[case]
+    schema, counts = write_2x2_inputs(tmp_path)
+    for fname, good in GOOD_KEYED_INPUTS.items():
+        (tmp_path / fname).write_text(good)
+    (tmp_path / name).write_bytes(content)
+    argv = {
+        "rake": ["rake", "--schema", schema, "--seed-table", "seed.csv",
+                 "--margin", "rows.csv", "--margin", "cols.csv"],
+        "fit": ["fit", "--counts", counts, "--schema", schema],
+        "fit-vec": ["fit", "--design", "design.csv", "--counts-vec", "n.csv"],
+    }[command]
+    argv = [str(tmp_path / a) if a in GOOD_KEYED_INPUTS else a for a in argv]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert where in err and "internal error" not in err
+
+
+# Well-formed JSON of the wrong shape is an input error, never an internal one.
+WRONG_SHAPE_JSON = {
+    "spec is a list": ("bench", b"[1]"),
+    "spec seed is text": ("bench", b'{"scenario": "general", "seed": "x"}'),
+    "spec replications is null": ("bench", b'{"scenario": "general", "replications": null}'),
+    "schema is a list": ("fit", b"[1]"),
+    "schema levels is text": ("fit", b'{"factors": [{"name": "row", "levels": "x"}]}'),
+    "schema factors is a number": ("fit", b'{"factors": 5}'),
+    "schema order is text": ("fit", b'{"factors": [{"name": "row", "levels": 2}], "order": "x"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPE_JSON))
+def test_wrong_shape_json_exits_1(tmp_path, capsys, case):
+    command, content = WRONG_SHAPE_JSON[case]
+    _, counts = write_2x2_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {"bench": ["bench", "--spec", str(bad)],
+            "fit": ["fit", "--counts", counts, "--schema", str(bad)]}[command]
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
 class TestPath:
     def test_path_outputs(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)

@@ -23,7 +23,7 @@ from ipscale.design import (
     write_triplet_csv,
 )
 
-from conftest import make_rng
+from conftest import make_rng, random_run_design
 
 
 def dense_table_design(schema: TableSchema) -> np.ndarray:
@@ -99,6 +99,15 @@ class TestTableSchema:
         path = tmp_path / "schema.json"
         schema.save(path)
         assert TableSchema.load(path) == schema
+
+
+@pytest.mark.parametrize("d", [[1], "x", None, {"factors": 5}, {"factors": [3]},
+                               {"factors": [{"name": "a", "levels": "x"}]},
+                               {"factors": [{"name": "a", "levels": 1e400}]},
+                               {"factors": [{"name": "a", "levels": 2}], "order": "two"}])
+def test_schema_from_dict_of_wrong_shape_is_a_design_error(d):
+    with pytest.raises(DesignError):
+        TableSchema.from_dict(d)
 
 
 class TestTableDesign:
@@ -513,3 +522,38 @@ class TestColumnBlock:
         assert isinstance(blk.matrix, np.ndarray) and blk.matrix.flags["C_CONTIGUOUS"]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert blk.nnz == nnz(S)
+
+
+class TestDisjointRuns:
+    """The column order cut into maximal runs of consecutive columns with
+    pairwise disjoint supports of one size."""
+
+    def test_moderate_table_runs_are_its_terms(self):
+        schema = TableSchema(tuple((f"f{k}", 10) for k in range(1, 5)), 2)
+        X = build_table_design(schema)
+        runs = X.disjoint_runs()
+        assert [(a, R.shape) for a, R in runs] == (
+            [(0, (1, 10_000))] + [(1 + 9 * t, (9, 1000)) for t in range(4)]
+            + [(37 + 81 * t, (81, 100)) for t in range(6)])
+        assert X.disjoint_runs() is runs  # computed once
+
+    @given(st.integers(0, 2**16), st.integers(10, 40), st.integers(1, 7))
+    def test_runs_partition_and_are_maximal(self, seed, n_rows, n_blocks):
+        X = random_run_design(make_rng(seed), n_rows, n_blocks)
+        runs = X.disjoint_runs()
+        assert [a for a, _ in runs][0] == 0
+        bounds = [a for a, _ in runs] + [X.n_cols]
+        assert all(len(R) == b - a for (a, R), b in zip(runs, bounds[1:]))
+        for a, R in runs:
+            assert np.shares_memory(R, X.csc.indices)
+            for j, rows in enumerate(R, start=a):
+                assert np.array_equal(rows, X.col_support(j))
+            assert len(np.unique(R)) == R.size  # pairwise disjoint
+        for (a, R), b in zip(runs[:-1], bounds[1:]):  # the next column cannot join
+            nxt = X.col_support(b)
+            assert len(nxt) != R.shape[1] or np.intersect1d(nxt, R).size > 0
+
+    def test_non_binary_design_has_no_runs(self):
+        X = DesignMatrix.from_dense(np.array([[1.0, 0.5], [1.0, 2.0]]))
+        with pytest.raises(DesignError, match="binary"):
+            X.disjoint_runs()

@@ -94,6 +94,21 @@ class TestGenerators:
             harness._sample_counts(inst_rng, X, np.array([50.0, 0.0, 0.0, 0.0]))
 
 
+class TestSpecFromDict:
+    @pytest.mark.parametrize("d", [[1], "general", None, {"scenario": "general", "seed": "x"},
+                                   {"scenario": "general", "eps_tol": [1e-4]},
+                                   {"scenario": "general", "n_rows": "many"},
+                                   {"scenario": "general", "roster": 5},
+                                   {"scenario": "general", "colour": "red"}])
+    def test_wrong_shape_is_a_harness_error(self, d):
+        with pytest.raises(HarnessError):
+            ExperimentSpec.from_dict(d)
+
+    def test_round_trip(self):
+        spec = ExperimentSpec(scenario="general", n_rows=40, n_cols=5, seed=9)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
 class TestRunExperiment:
     def _spec(self, **kw):
         base = dict(scenario="nonneg-small", replications=3, scale_factor=0.15,

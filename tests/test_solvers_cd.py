@@ -1,8 +1,13 @@
 """Cyclic and randomized coordinate scaling, Pearson variant, stopping rule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ipscale import harness
 from ipscale import model as mdl
 from ipscale import solvers
 from ipscale.design import DesignMatrix
@@ -22,7 +27,8 @@ from ipscale.solvers import (
     x2_ips_fit,
 )
 
-from conftest import oracle_beta, make_rng, table_instance_2x2, table_instance_3x3x3
+from conftest import (oracle_beta, make_rng, random_run_design, table_instance_2x2,
+                      table_instance_3x3x3)
 
 
 def traces_equal(a: ConvergenceTrace, b: ConvergenceTrace) -> bool:
@@ -303,3 +309,96 @@ class TestTraceContract:
         inst = table_instance_2x2()
         res = ips_fit(inst, SolverConfig(variant="ips", eps_tol=1e-6))
         assert res.trace.records[0].est_error is None
+
+
+def per_coordinate_sweep(fam) -> bool:
+    """Reference l1-ips / x2-ips sweep: one column at a time, scalar updates."""
+    beta, mu, s, B, lam = fam.c.beta, fam.c.mu, fam.inst.suff_stats, mdl.BETA_CLAMP, fam.lam
+    X = fam.inst.design
+    changed = False
+    for j in range(X.n_cols):
+        supp = X.col_support(j)
+        mu_j = mu[supp]
+        den = np.add.reduce(mu_j)
+        if fam.pearson:
+            num = np.add.reduce(fam.nsq[supp] / mu_j)
+            ok = num > 0.0 and den > 0.0 and np.isfinite(num)
+            b_new = beta[j] + 0.5 * np.log(num / den) if ok else (-B if num <= 0.0 else B)
+            clamped = not (ok and -B <= b_new <= B)
+        elif lam > 0.0 and j != 0:
+            delta = s[j] - np.exp(-beta[j]) * den
+            num = s[j] - lam * np.sign(delta)
+            if abs(delta) <= lam:
+                b_new = 0.0
+            elif num <= 0.0 or den <= 0.0:
+                b_new = -B if num <= 0.0 else B
+            else:
+                b_new = min(max(beta[j] + np.log(num / den), -B), B)
+            clamped = not -B < b_new < B
+        else:
+            ok = s[j] > 0.0 and den > 0.0
+            b_new = beta[j] + np.log(s[j] / den) if ok else (-B if s[j] <= 0.0 else B)
+            clamped = not (ok and -B <= b_new <= B)
+        b_new = min(max(b_new, -B), B)
+        if clamped:
+            fam.divergent.add(j)
+        d = b_new - beta[j]
+        if d != 0.0:
+            mu_j *= np.exp(d)
+            mu[supp] = mu_j
+            beta[j] = b_new
+            changed = True
+        if fam.track_g2 and j == 0:
+            fam._track_g2()
+    return changed
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and a.tobytes() == b.tobytes()
+
+
+class TestRunSweeps:
+    """l1-ips and x2-ips sweep disjoint runs at once; the result must be the
+    per-coordinate loop's, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**16), st.sampled_from(["l1-ips", "x2-ips"]),
+           st.one_of(st.just(0.0), st.floats(0.01, 1.2)), st.integers(1, 40),
+           st.integers(1, 3), st.booleans())
+    def test_run_sweep_matches_per_coordinate_loop(self, seed, variant, frac, iters, every,
+                                                   warm):
+        rng = make_rng(seed)
+        X = random_run_design(rng, n_rows=int(rng.integers(10, 40)),
+                              n_blocks=int(rng.integers(1, 7)))
+        counts = rng.poisson(rng.uniform(0.1, 6.0, size=X.n_rows)).astype(float)
+        counts[0] += 1.0
+        inst = ProblemInstance.from_counts(X, counts)
+        lam = frac * harness.lambda_max(inst) if variant == "l1-ips" else 0.0
+        # a warm start with signed zeros: an unmoved -0.0 must stay -0.0
+        beta0 = rng.choice([-0.0, 0.0, 0.3, -0.2], size=X.n_cols) if warm else None
+        cfg = SolverConfig(variant=variant, lam=lam, eps_tol=1e-13, max_iters=iters,
+                           record_every=every, beta_init=beta0, track_g2=True)
+        runs = solvers.solve(inst, cfg)
+        with mock.patch.object(solvers._CDFamily, "_run_sweep", per_coordinate_sweep):
+            ref = solvers.solve(inst, cfg)
+        assert _same_bits(runs.beta, ref.beta)
+        assert _same_bits(runs.mu, ref.mu)
+        assert runs.termination == ref.termination
+        assert runs.flags == ref.flags
+        assert _same_bits(runs.diagnostics["g2_after_intercept"],
+                          ref.diagnostics["g2_after_intercept"])
+        assert len(runs.trace.records) == len(ref.trace.records)
+        for ra, rb in zip(runs.trace.records, ref.trace.records):
+            assert (ra.iteration, ra.step_outcome) == (rb.iteration, rb.step_outcome)
+            assert _same_bits([ra.work_units, ra.objective, ra.rel_gradient],
+                              [rb.work_units, rb.objective, rb.rel_gradient])
+
+    def test_ips_and_a_ips_keep_the_per_coordinate_loop(self):
+        inst = table_instance_3x3x3()
+        for variant in ("ips", "a-ips"):
+            fam = solvers._CDFamily(inst, SolverConfig(variant=variant), variant)
+            assert fam.runs is None
+        for variant in ("l1-ips", "x2-ips"):
+            fam = solvers._CDFamily(inst, SolverConfig(variant=variant), variant)
+            assert fam.runs is inst.design.disjoint_runs()
