@@ -4,8 +4,8 @@
 Usage: python scripts/golden_traces.py OUT_DIR
 
 Fits each variant with a fixed seed on small harness instances (one of
-them the table model on a seeded subset of its cells), at record_every 1
-and 5, and writes one text file per fit: the termination,
+them the table model on a seeded subset of its cells, one a table whose
+terms have 8 and 64 columns), at record_every 1 and 5, and writes one text file per fit: the termination,
 the flags, the coefficients and every trace record except its wall
 seconds.  The table and general instances are fitted a second time on
 their design after a triplet CSV round trip (``write_triplet_csv`` to a
@@ -91,6 +91,16 @@ def _observed_cells(table):
     return ProblemInstance.from_counts(X, table.counts[cells])
 
 
+def _long_runs():
+    """Three 9-level factors with their two-way terms: the main-effect runs
+    (8 columns) and the interaction runs (64) are long enough for l1-ips and
+    x2-ips to update each run at once."""
+    schema = TableSchema(tuple((f"g{k}", 9) for k in range(1, 4)), 2)
+    rng = np.random.Generator(np.random.Philox(13))
+    counts = rng.poisson(rng.gamma(2.0, 3.0, size=schema.n_cells)) + 1.0
+    return ProblemInstance.from_counts(build_table_design(schema), counts)
+
+
 def _instances(tmp: Path) -> dict:
     table = harness.gen_instance(harness.ExperimentSpec("table-moderate", scale_factor=0.3))
     general = harness.gen_instance(harness.ExperimentSpec("general", scale_factor=0.01))
@@ -98,6 +108,7 @@ def _instances(tmp: Path) -> dict:
     return {
         "table": (table, None),
         "table-observed": (_observed_cells(table), None),
+        "table-long-runs": (_long_runs(), None),
         # every variant started at a converged optimum: exercises the fixed-point exit
         "table-warm": (table, optimum),
         "nonneg": (harness.gen_instance(harness.ExperimentSpec("nonneg-small", scale_factor=0.1)), None),

@@ -69,11 +69,15 @@ def _csv_records(path):
             yield [h.strip() for h in header], (
                 (lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
         except UnicodeDecodeError as exc:
-            # the text layer decodes in chunks, so the record count is no guide:
-            # the first undecodable byte is the first replacement character
-            with open(path, encoding="utf-8", errors="replace", newline="") as text:
-                data = text.read()
-            lineno = data.count("\n", 0, data.find("\ufffd")) + 1
+            # the text layer decodes in chunks, so neither the record count nor
+            # the error's offset places the bad byte: decode the whole file
+            with open(path, "rb") as bfh:
+                raw = bfh.read()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            lineno = raw.count(b"\n", 0, exc.start) + 1
             raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 

@@ -40,6 +40,10 @@ class HarnessError(ValueError):
     """Bad experiment specification or infeasible generated instance."""
 
 
+_INT_FIELDS = ("replications", "seed", "max_iters", "table_setting", "n_rows", "n_cols")
+_REAL_FIELDS = ("scale_factor", "eps_tol", "t_max_secs")
+
+
 @dataclass
 class ExperimentSpec:
     scenario: str
@@ -55,12 +59,14 @@ class ExperimentSpec:
     n_cols: int | None = None
 
     def __post_init__(self):
-        for name in ("replications", "scale_factor", "seed", "eps_tol", "t_max_secs",
-                     "max_iters", "table_setting", "n_rows", "n_cols"):
-            value = getattr(self, name)
-            optional = name in ("n_rows", "n_cols")
-            if not (isinstance(value, numbers.Real) or optional and value is None):
-                raise HarnessError(f"{name} must be a number, got {value!r}")
+        for names, kind, what in ((_INT_FIELDS, numbers.Integral, "an integer"),
+                                  (_REAL_FIELDS, numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in ("n_rows", "n_cols"):
+                    continue
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise HarnessError(f"{name} must be {what}, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise HarnessError(f"unknown scenario {self.scenario!r}; one of {SCENARIOS}")
         if self.replications < 1:

@@ -325,6 +325,9 @@ NON_UTF8_KEYED_INPUTS = {
                    "seed.csv:5"),
     "margin header": ("rake", "rows.csv", b"r\xffow,target\n1,3\n2,1\n", "rows.csv:1"),
     "count vector": ("fit-vec", "n.csv", b"row,count\n0,3\n1,4\n2,5\xc3\n", "n.csv:4"),
+    # a valid U+FFFD (EF BF BD) on an earlier line is not the bad byte
+    "replacement character first": ("rake", "cols.csv",
+                                    b"col,target\n1,\xef\xbf\xbd2\n2,\xff2\n", "cols.csv:3"),
 }
 
 
@@ -352,6 +355,9 @@ WRONG_SHAPE_JSON = {
     "spec is a list": ("bench", b"[1]"),
     "spec seed is text": ("bench", b'{"scenario": "general", "seed": "x"}'),
     "spec replications is null": ("bench", b'{"scenario": "general", "replications": null}'),
+    "spec replications is fractional": ("bench", b'{"scenario": "general", "replications": 2.5}'),
+    "spec seed is fractional": ("bench", b'{"scenario": "general", "seed": 1.5}'),
+    "spec max_iters is true": ("bench", b'{"scenario": "general", "max_iters": true}'),
     "schema is a list": ("fit", b"[1]"),
     "schema levels is text": ("fit", b'{"factors": [{"name": "row", "levels": "x"}]}'),
     "schema factors is a number": ("fit", b'{"factors": 5}'),

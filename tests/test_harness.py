@@ -99,7 +99,13 @@ class TestSpecFromDict:
                                    {"scenario": "general", "eps_tol": [1e-4]},
                                    {"scenario": "general", "n_rows": "many"},
                                    {"scenario": "general", "roster": 5},
-                                   {"scenario": "general", "colour": "red"}])
+                                   {"scenario": "general", "colour": "red"},
+                                   {"scenario": "general", "replications": 2.5},
+                                   {"scenario": "general", "replications": 2.0},
+                                   {"scenario": "general", "seed": 1.5},
+                                   {"scenario": "general", "n_rows": 40.0},
+                                   {"scenario": "general", "table_setting": True},
+                                   {"scenario": "general", "eps_tol": False}])
     def test_wrong_shape_is_a_harness_error(self, d):
         with pytest.raises(HarnessError):
             ExperimentSpec.from_dict(d)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ipscale import harness
 from ipscale import model as mdl
 from ipscale import solvers
-from ipscale.design import DesignMatrix
+from ipscale.design import DesignMatrix, TableSchema, build_table_design
 from ipscale.model import ProblemInstance
 from ipscale.solvers import (
     ConvergenceTrace,
@@ -349,7 +349,7 @@ def per_coordinate_sweep(fam) -> bool:
             beta[j] = b_new
             changed = True
         if fam.track_g2 and j == 0:
-            fam._track_g2()
+            fam.diagnostics["g2_after_intercept"].append(mdl.g_squared(fam.inst.counts, mu))
     return changed
 
 
@@ -359,15 +359,18 @@ def _same_bits(a, b) -> bool:
 
 
 class TestRunSweeps:
-    """l1-ips and x2-ips sweep disjoint runs at once; the result must be the
-    per-coordinate loop's, bit for bit."""
+    """l1-ips and x2-ips sweep long disjoint runs at once and the columns
+    between them one at a time; the result must be the per-coordinate
+    loop's, bit for bit."""
 
+    # the random designs' runs are 1-4 columns long: a shortest vectorized run
+    # of 2 or 3 mixes both paths, the default sends every column through the loop
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**16), st.sampled_from(["l1-ips", "x2-ips"]),
            st.one_of(st.just(0.0), st.floats(0.01, 1.2)), st.integers(1, 40),
-           st.integers(1, 3), st.booleans())
+           st.integers(1, 3), st.booleans(), st.sampled_from([2, 3, solvers._MIN_RUN]))
     def test_run_sweep_matches_per_coordinate_loop(self, seed, variant, frac, iters, every,
-                                                   warm):
+                                                   warm, min_run):
         rng = make_rng(seed)
         X = random_run_design(rng, n_rows=int(rng.integers(10, 40)),
                               n_blocks=int(rng.integers(1, 7)))
@@ -379,7 +382,8 @@ class TestRunSweeps:
         beta0 = rng.choice([-0.0, 0.0, 0.3, -0.2], size=X.n_cols) if warm else None
         cfg = SolverConfig(variant=variant, lam=lam, eps_tol=1e-13, max_iters=iters,
                            record_every=every, beta_init=beta0, track_g2=True)
-        runs = solvers.solve(inst, cfg)
+        with mock.patch.object(solvers, "_MIN_RUN", min_run):
+            runs = solvers.solve(inst, cfg)
         with mock.patch.object(solvers._CDFamily, "_run_sweep", per_coordinate_sweep):
             ref = solvers.solve(inst, cfg)
         assert _same_bits(runs.beta, ref.beta)
@@ -399,6 +403,40 @@ class TestRunSweeps:
         for variant in ("ips", "a-ips"):
             fam = solvers._CDFamily(inst, SolverConfig(variant=variant), variant)
             assert fam.runs is None
-        for variant in ("l1-ips", "x2-ips"):
-            fam = solvers._CDFamily(inst, SolverConfig(variant=variant), variant)
-            assert fam.runs is inst.design.disjoint_runs()
+
+    @given(st.integers(0, 2**16), st.integers(10, 40), st.integers(1, 7), st.integers(2, 5))
+    def test_sweep_plan_keeps_the_long_runs(self, seed, n_rows, n_blocks, min_run):
+        X = random_run_design(make_rng(seed), n_rows, n_blocks)
+        runs = X.disjoint_runs()
+        with mock.patch.object(solvers, "_MIN_RUN", min_run):
+            plan = solvers._sweep_plan(runs)
+        assert [a for a, _, _ in plan] == sorted(a for a, _, _ in plan)
+        assert plan[0][0] == 0 and plan[-1][1] == X.n_cols
+        assert all(b == a2 for (_, b, _), (a2, _, _) in zip(plan, plan[1:]))
+        assert [R for _, _, R in plan if R is not None] == [R for _, R in runs if len(R) >= min_run]
+        assert all(R is None or b - a == len(R) for a, b, R in plan)
+        # the columns between two long runs form one segment
+        assert not any(R1 is None and R2 is None for (_, _, R1), (_, _, R2) in zip(plan, plan[1:]))
+
+    def test_moderate_table_sweeps_its_two_way_and_main_effect_terms_at_once(self):
+        schema = TableSchema(tuple((f"f{k}", 10) for k in range(1, 5)), 2)
+        inst = ProblemInstance.from_counts(build_table_design(schema),
+                                           np.ones(schema.n_cells))
+        fam = solvers._CDFamily(inst, SolverConfig(variant="l1-ips"), "l1-ips")
+        assert [(a, b, R is None) for a, b, R in fam.runs] == [(0, 1, True)] + [
+            (a, b, False) for a, b in zip([1, 10, 19, 28, *range(37, 523, 81)],
+                                          [10, 19, 28, 37, *range(118, 524, 81)])]
+
+
+class TestL1ThresholdUpdate:
+    def test_array_form_has_the_scalar_bits(self):
+        rng = make_rng(5)
+        beta = rng.choice([-0.0, 0.0, 0.7, -1.3, 40.0, -40.0], size=400)
+        s = rng.choice([0.0, 1.0, 2.0, 3.5, 10.0], size=400)
+        den = rng.choice([0.0, 1e-300, 0.5, 2.0, 7.25, np.inf], size=400)
+        for lam in (0.0, 1.0, 2.0, 3.5):
+            with np.errstate(all="ignore"):
+                got = solvers.l1_threshold_update(np.arange(400), beta, s, den, lam)
+                want = [solvers.l1_threshold_update(j, beta[j], s[j], den[j], lam)
+                        for j in range(400)]
+            assert _same_bits(got, np.array(want, dtype=float))
