@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Write golden fit records for every solver variant, for diffing refactors.
 
-Usage: python scripts/golden_traces.py OUT_DIR
+Usage: python scripts/golden_traces.py OUT_DIR [--src DIR]
+
+``ipscale`` is imported from DIR (default: the ``src/`` of the checkout
+that holds this script), put first on ``sys.path``; the script stops with
+an error if the package comes from anywhere else, and names DIR on stderr
+only, so the output files do not depend on it.
 
 Fits each variant with a fixed seed on small harness instances (one of
 them the table model on a seeded subset of its cells, one a table whose
@@ -29,6 +34,7 @@ it records the shape, the kind, and a sha256 of the column labels and of
 each CSC array (``data``, ``indices``, ``indptr``) with its dtype.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -41,11 +47,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ipscale import (ProblemInstance, SolverConfig, SolverError, TableSchema, build_raking_design,
-                     build_table_design, harness, read_triplet_csv, solve, write_triplet_csv)
-from ipscale.design import build_design_for_cells
-from ipscale.cli import main as cli_main
-from ipscale.solvers import _VARIANTS
+# ipscale is imported inside the functions, after main has put --src first on sys.path
+
+
+def _load_ipscale(src: Path) -> None:
+    """Import ipscale from src and nowhere else."""
+    if not (src / "ipscale" / "__init__.py").is_file():
+        sys.exit(f"golden_traces: no ipscale sources under {src}")
+    sys.path.insert(0, str(src))
+    import ipscale
+
+    if not Path(ipscale.__file__).resolve().is_relative_to(src):
+        sys.exit(f"golden_traces: ipscale was imported from {ipscale.__file__}, not {src}")
+    print(f"golden_traces: ipscale from {src}", file=sys.stderr, flush=True)
 
 
 def _fmt(v) -> str:
@@ -60,6 +74,8 @@ def _fmt(v) -> str:
 
 def _triplet_roundtrip(inst, tmp: Path):
     """The instance refitted on its design as read back from a triplet CSV."""
+    from ipscale import ProblemInstance, read_triplet_csv, write_triplet_csv
+
     X = inst.design
     path = tmp / "design.csv"
     write_triplet_csv(X, path)
@@ -84,6 +100,9 @@ def _observed_cells(table):
     """The 0.3-scale table model on a seeded two thirds of its 3^4 cells: the
     columns of one term then have unequal supports, so the disjoint runs of
     l1-ips and x2-ips vary in length and support size."""
+    from ipscale import ProblemInstance, TableSchema
+    from ipscale.design import build_design_for_cells
+
     schema = TableSchema(tuple((f"f{k}", 3) for k in range(1, 5)), 2)
     rng = np.random.Generator(np.random.Philox(7))
     cells = np.sort(rng.choice(schema.n_cells, size=2 * schema.n_cells // 3, replace=False))
@@ -95,6 +114,8 @@ def _long_runs():
     """Three 9-level factors with their two-way terms: the main-effect runs
     (8 columns) and the interaction runs (64) are long enough for l1-ips and
     x2-ips to update each run at once."""
+    from ipscale import ProblemInstance, TableSchema, build_table_design
+
     schema = TableSchema(tuple((f"g{k}", 9) for k in range(1, 4)), 2)
     rng = np.random.Generator(np.random.Philox(13))
     counts = rng.poisson(rng.gamma(2.0, 3.0, size=schema.n_cells)) + 1.0
@@ -102,6 +123,8 @@ def _long_runs():
 
 
 def _instances(tmp: Path) -> dict:
+    from ipscale import SolverConfig, harness, solve
+
     table = harness.gen_instance(harness.ExperimentSpec("table-moderate", scale_factor=0.3))
     general = harness.gen_instance(harness.ExperimentSpec("general", scale_factor=0.01))
     optimum = solve(table, SolverConfig(variant="b-ips", eps_tol=1e-10)).beta
@@ -119,6 +142,8 @@ def _instances(tmp: Path) -> dict:
 
 
 def _fit_text(inst, variant: str, beta_init, record_every: int) -> str:
+    from ipscale import SolverConfig, SolverError, harness, solve
+
     lam = 0.0
     if variant == "l1-ips":
         lam = 0.1 * harness.lambda_max(inst)
@@ -210,6 +235,8 @@ def _copy_cli_outputs(src: Path, dst: Path, code: int) -> None:
 
 
 def _run_cli(out: Path) -> None:
+    from ipscale.cli import main as cli_main
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _cli_inputs(work)
@@ -239,6 +266,9 @@ def _design_digest(name: str, X, dropped=None) -> list[str]:
 def _write_designs(path: Path) -> None:
     """Digests of the full-scale table designs: the moderate and large table
     models, the 7^6 raking design and the moderate model on half its cells."""
+    from ipscale import TableSchema, build_raking_design, build_table_design
+    from ipscale.design import build_design_for_cells
+
     moderate = TableSchema(tuple((f"f{k}", 10) for k in range(1, 5)), 2)
     large = TableSchema(tuple((f"f{k}", 10) for k in range(1, 6)), 3)
     rake = TableSchema(tuple((f"f{k}", 7) for k in range(1, 7)), 1)
@@ -257,9 +287,15 @@ def _write_designs(path: Path) -> None:
 
 
 def main() -> None:
-    if len(sys.argv) != 2:
-        sys.exit(__doc__.strip().splitlines()[2])
-    out = Path(sys.argv[1])
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("out_dir", type=Path)
+    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                    help="directory to import ipscale from (default: this checkout's src/)")
+    args = ap.parse_args()
+    _load_ipscale(args.src.resolve())
+    from ipscale.solvers import _VARIANTS
+
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         instances = _instances(Path(tmp))

@@ -198,8 +198,7 @@ def _write_summary(path, res: FitResult, inst: ProblemInstance, extra: dict | No
         "iterations": res.trace.final().iteration,
         "wall_seconds": res.wall_seconds,
         "work_seconds": res.trace.final().work_seconds,
-        "flags": {k: (list(v) if isinstance(v, (set, tuple)) else v)
-                  for k, v in res.flags.items()},
+        "flags": res.flags,
     }
     if inst.counts is not None:
         out["g_squared"] = mdl.g_squared(inst.counts, res.mu)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -261,7 +261,6 @@ class ExperimentReport:
     curves: dict          # solver -> dict(time_s=..., rel_grad=..., est_err=... or None)
     summaries: list[SolverSummary]
     failures: list[tuple[str, int, str]]
-    results: dict = field(default_factory=dict)  # solver -> list[FitResult]
 
     def write(self, out_dir: str) -> list[str]:
         os.makedirs(out_dir, exist_ok=True)
@@ -379,8 +378,7 @@ def run_experiment(spec: ExperimentSpec, wall_clock: bool = False,
             mean_work_seconds=float(np.mean([r.trace.final().work_seconds for r in fits])),
             terminations=terms,
         ))
-    return ExperimentReport(spec=spec, curves=curves, summaries=summaries,
-                            failures=failures, results=by_solver)
+    return ExperimentReport(spec=spec, curves=curves, summaries=summaries, failures=failures)
 
 
 # -- l1 path with EBIC tuning -------------------------------------------------

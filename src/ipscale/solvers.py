@@ -7,8 +7,9 @@ gradient  ||g_t||_inf / ||g_0||_inf  drops to ``eps_tol`` (inclusive) or a
 time/iteration limit is hit.  A step that leaves the iterate unchanged is
 an exact fixed point and ends the run as converged, unless its subproblem
 failed.  A non-finite objective or gradient, or such a failed step, ends
-the run with the ``diverged`` termination.  Every iterative variant runs
-in one outer loop (:func:`_drive`); each family supplies only its step.
+the run with the ``diverged`` termination.  :func:`solve` picks the
+variant's family; a family supplies only its state and its step, and one
+outer loop (:func:`_drive`) runs them all.
 
 Variants
 --------
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -60,12 +61,6 @@ INNER_MAX_ITERS = 50
 # (relative to the right-hand side) and iteration cap.
 SCALING_REL_TOL = 1e-12
 SCALING_MAX_ITERS = 200
-
-_VARIANTS = (
-    "ips", "a-ips", "x2-ips", "mm-binary", "gis", "mm-general", "mm-parallel",
-    "iis", "q-ips", "ridge-q-ips", "b-ips", "newton", "l1-ips",
-)
-
 
 class SolverError(ValueError):
     """Solver contract violation (wrong design kind, bad config, ...)."""
@@ -93,6 +88,8 @@ class SolverConfig:
             raise SolverError("eps_tol must be positive")
         if self.lam < 0:
             raise SolverError("lambda must be non-negative")
+        if self.lam > 0 and self.variant not in ("l1-ips", "ridge-q-ips"):
+            raise SolverError(f"lambda applies only to l1-ips and ridge-q-ips, not {self.variant}")
         if self.w_choice not in ("bohning", "spectral"):
             raise SolverError("w_choice must be 'bohning' or 'spectral'")
         if self.record_every < 1:
@@ -189,40 +186,6 @@ def check_stop(trace: ConvergenceTrace, cfg: SolverConfig) -> bool:
     return bool(trace.records) and bool(_stop_reason(trace.final(), cfg))
 
 
-class _Run:
-    """Shared trace recording plus the stop decision for all fitters."""
-
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        self.t0 = time.perf_counter()
-        self.trace = ConvergenceTrace()
-        self.work = 0.0
-
-    def start(self, obj: float, gnorm: float, est: float | None) -> bool:
-        self.trace.g0_norm = gnorm
-        rel = 0.0 if gnorm == 0.0 else 1.0
-        self.trace.records.append(TraceRecord(0, 0.0, 0.0, obj, rel, est))
-        if gnorm == 0.0:
-            self.trace.termination = TOL_REACHED
-            return True
-        return False
-
-    def record(self, iteration: int, obj: float, gnorm: float, est: float | None,
-               step_outcome: str = "") -> bool:
-        wall = time.perf_counter() - self.t0
-        rec = TraceRecord(iteration, wall, self.work, obj, gnorm / self.trace.g0_norm, est,
-                          step_outcome)
-        self.trace.records.append(rec)
-        self.trace.termination = _stop_reason(rec, self.cfg)
-        return bool(self.trace.termination)
-
-    def out_of_time(self) -> bool:
-        return time.perf_counter() - self.t0 >= self.cfg.t_max_secs
-
-    def at_cadence(self, iteration: int) -> bool:
-        return iteration % self.cfg.record_every == 0 or iteration >= self.cfg.max_iters
-
-
 def _est_error(beta: np.ndarray, beta_true: np.ndarray | None) -> float | None:
     if beta_true is None:
         return None
@@ -264,54 +227,62 @@ class _Family:
 
     A family exposes ``beta`` and ``mu`` and defines ``objective``,
     ``grad_norm``, ``resync`` (rebuild the mean from the coefficients) and
-    ``step``.  ``step(run)`` performs one outer iteration, adds its work
-    units to ``run.work`` and returns its :func:`_step_outcome`.  ``flags``
-    and the lists in ``diagnostics`` go into the result.
+    ``step``.  ``step()`` performs one outer iteration, adds its work units
+    to ``work`` (which starts with the family's set-up cost) and returns its
+    :func:`_step_outcome`.  ``flags`` and the lists in ``diagnostics`` go
+    into the result.
     """
 
-    setup_work = 0.0
-
-    def __init__(self, inst: ProblemInstance):
-        self.inst = inst
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        self.inst, self.cfg, self.variant = inst, cfg, variant
+        self.work = 0.0
         self.divergent: set[int] = set()
         self.flags: dict = {}
         self.diagnostics: dict[str, list] = {}
 
 
-def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
-    """The outer loop of every variant.
+def _drive(fam: _Family) -> FitResult:
+    """The outer loop of every variant, and its trace.
 
     Records the start, then steps until the stopping rule fires on a
     record: one on the ``record_every`` cadence, one after a step that
     changed nothing, or one taken once out of time between records.  The
     mean is rebuilt every 64 iterations against multiplicative drift.
     """
-    inst = fam.inst
-    run = _Run(cfg)
-    run.work += fam.setup_work
+    inst, cfg = fam.inst, fam.cfg
+    t0 = time.perf_counter()
+    trace = ConvergenceTrace()
     record_work = inst.design.nnz + inst.n_cols
 
-    def state():
-        return fam.objective(), fam.grad_norm(), _est_error(fam.beta, inst.beta_true)
+    def record(iteration: int, step_outcome: str = "") -> None:
+        obj, gnorm, est = fam.objective(), fam.grad_norm(), _est_error(fam.beta, inst.beta_true)
+        rec = TraceRecord(iteration, time.perf_counter() - t0, fam.work, obj,
+                          gnorm / trace.g0_norm, est, step_outcome)
+        trace.records.append(rec)
+        trace.termination = _stop_reason(rec, cfg)
 
-    if not run.start(*state()):
-        it = 0
-        while True:
-            outcome = fam.step(run)
-            it += 1
-            if outcome:
-                run.record(it, *state(), outcome)
-                break
-            if it % 64 == 0:
-                fam.resync()
-            if run.at_cadence(it):
-                run.work += record_work
-                if run.record(it, *state()):
-                    break
-            elif run.out_of_time():
-                run.record(it, *state())
-                break
-    return FitResult(variant=variant, beta=fam.beta, mu=fam.mu, trace=run.trace,
+    obj, trace.g0_norm = fam.objective(), fam.grad_norm()
+    trace.records.append(TraceRecord(0, 0.0, 0.0, obj, 0.0 if trace.g0_norm == 0.0 else 1.0,
+                                     _est_error(fam.beta, inst.beta_true)))
+    if trace.g0_norm == 0.0:
+        trace.termination = TOL_REACHED
+    it = 0
+    # every record below but a cadence one ends the run: a step outcome, or
+    # a wall time past the limit, always gives a termination
+    while not trace.termination:
+        outcome = fam.step()
+        it += 1
+        if outcome:
+            record(it, outcome)
+            continue
+        if it % 64 == 0:
+            fam.resync()
+        if it % cfg.record_every == 0 or it >= cfg.max_iters:
+            fam.work += record_work
+            record(it)
+        elif time.perf_counter() - t0 >= cfg.t_max_secs:
+            record(it)
+    return FitResult(variant=fam.variant, beta=fam.beta, mu=fam.mu, trace=trace,
                      flags={"divergent_coordinates": sorted(fam.divergent), **fam.flags},
                      diagnostics={k: np.array(v) for k, v in fam.diagnostics.items()})
 
@@ -319,8 +290,8 @@ def _drive(variant: str, cfg: SolverConfig, fam: _Family) -> FitResult:
 class _RawState(_Family):
     """Coefficients with their mean q o exp(X beta), on the raw objective."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
-        super().__init__(inst)
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst, cfg, variant)
         self.c = Coefficients.from_beta(inst, _init_beta(cfg, inst.n_cols))
 
     @property
@@ -332,10 +303,10 @@ class _RawState(_Family):
         return self.c.mu
 
     def objective(self) -> float:
-        return -float(self.inst.suff_stats @ self.c.beta) + float(self.c.mu.sum())
+        return mdl.neg_log_likelihood(self.inst, self.c)
 
     def grad_norm(self) -> float:
-        return float(np.max(np.abs(self.inst.design.rmatvec(self.c.mu) - self.inst.suff_stats)))
+        return float(np.max(np.abs(mdl.gradient(self.inst, self.c))))
 
     def resync(self) -> None:
         self.c.resync(self.inst)
@@ -350,7 +321,7 @@ class _ProfiledState(_Family):
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
-        super().__init__(inst)
+        super().__init__(inst, cfg, variant)
         if not inst.design.has_intercept:
             raise SolverError(f"{variant} needs an intercept as design column 0")
         self.slope = _init_slope(cfg, inst.n_cols)
@@ -412,7 +383,7 @@ class _CDFamily(_RawState):
             raise SolverError("x2-ips needs the full count vector")
         if lam > 0 and not X.has_intercept:
             raise SolverError("l1-ips needs an intercept as design column 0")
-        super().__init__(inst, cfg)
+        super().__init__(inst, cfg, variant)
         p = X.n_cols
         self.pearson, self.lam = pearson, lam
         self.nsq = inst.counts * inst.counts if pearson else None
@@ -443,11 +414,11 @@ class _CDFamily(_RawState):
             return float(np.max(l1_kkt_residuals(self.inst, self.c.beta, self.c.mu, self.lam)))
         return super().grad_norm()
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             changed = self._coordinate_sweep(self.order()) if self.runs is None else self._run_sweep()
         if changed:
-            run.work += self.sweep_work
+            self.work += self.sweep_work
         return _step_outcome(changed)
 
     def _coordinate_sweep(self, order) -> bool:
@@ -566,25 +537,20 @@ def _scaling_update(beta: np.ndarray, num: np.ndarray, den: np.ndarray, power: f
     return b_new, ~(ok & inside)
 
 
-def _cd_fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str, perm_fn=None) -> FitResult:
-    cfg = cfg or SolverConfig(variant=variant)
-    return _drive(variant, cfg, _CDFamily(inst, cfg, variant, perm_fn))
-
-
 def ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    return _cd_fit(inst, cfg, "ips")
+    return _fit(inst, cfg, "ips")
 
 
 def a_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None, *, _perm_fn=None) -> FitResult:
-    return _cd_fit(inst, cfg, "a-ips", _perm_fn)
+    return _fit(inst, cfg, "a-ips", perm_fn=_perm_fn)
 
 
 def x2_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    return _cd_fit(inst, cfg, "x2-ips")
+    return _fit(inst, cfg, "x2-ips")
 
 
 def l1_ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
-    return _cd_fit(inst, cfg, "l1-ips")
+    return _fit(inst, cfg, "l1-ips")
 
 
 def l1_threshold_update(j, beta_j, s_j, col_mu_sum, lam: float, clamp: float = BETA_CLAMP):
@@ -712,24 +678,14 @@ def mm_general_step(inst: ProblemInstance, c: Coefficients,
 
 
 def _auto_blocks(total: int, block_sizes, *, what: str) -> list[np.ndarray]:
+    """Consecutive index blocks of 0..total-1: the given sizes, or blocks of 200."""
     if block_sizes is None:
-        size = min(200, total) if total > 0 else 0
-        sizes = []
-        left = total
-        while left > 0:
-            take = min(size, left)
-            sizes.append(take)
-            left -= take
+        sizes = [min(200, total - off) for off in range(0, total, 200)]
     else:
         sizes = list(block_sizes)
         if sum(sizes) != total or any(g <= 0 for g in sizes):
             raise SolverError(f"block sizes must be positive and sum to {total} for {what}")
-    out = []
-    off = 0
-    for g in sizes:
-        out.append(np.arange(off, off + g))
-        off += g
-    return out
+    return np.split(np.arange(total), np.cumsum(sizes)[:-1]) if sizes else []
 
 
 def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
@@ -810,7 +766,7 @@ class _MMFamily(_RawState):
     """One synchronized surrogate step of all coordinates per iteration."""
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
-        super().__init__(inst, cfg)
+        super().__init__(inst, cfg, variant)
         X = inst.design
         if variant == "mm-parallel":
             blocks = _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")
@@ -822,34 +778,29 @@ class _MMFamily(_RawState):
         N, p = X.n_rows, X.n_cols
         self.step_work = 4.0 * X.nnz + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         before = self.c.beta.copy()
         failures = self.flags.get("block_step_failures", 0)
         self.update()
-        run.work += self.step_work
+        self.work += self.step_work
         return _step_outcome(not np.array_equal(self.c.beta, before),
                              self.flags.get("block_step_failures", 0) != failures)
 
 
-def _mm_fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str) -> FitResult:
-    cfg = cfg or SolverConfig(variant=variant)
-    return _drive(variant, cfg, _MMFamily(inst, cfg, variant))
-
-
 def mm_binary_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg, "mm-binary")
+    return _fit(inst, cfg, "mm-binary")
 
 
 def gis_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg, "gis")
+    return _fit(inst, cfg, "gis")
 
 
 def mm_general_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg, "mm-general")
+    return _fit(inst, cfg, "mm-general")
 
 
 def mm_parallel_fit(inst, cfg=None):
-    return _mm_fit(inst, cfg, "mm-parallel")
+    return _fit(inst, cfg, "mm-parallel")
 
 
 # ---------------------------------------------------------------------------
@@ -928,22 +879,22 @@ class _IisFamily(_ProfiledState):
     """One monotone 1-D scaling equation per slope coordinate, then one
     rescale of the slope mean for all coordinates at once."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
-        super().__init__(inst, cfg, "iis")
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst, cfg, variant)
         X = inst.design
         if X.kind == KIND_GENERAL:
             raise SolverError("iis requires a non-negative design")
         self.rowsum = X.slope_row_sums()
         self.columns = X.columns()[1:]
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         mu_ring, slope, rowsum = self.mu_ring, self.slope, self.rowsum
         k = self.total / float(mu_ring.sum())
         delta = np.zeros(len(slope))
         for j, (rows, vals) in enumerate(self.columns):
             d, clamped, evals = solve_scaling_equation(
                 vals * mu_ring[rows], rowsum[rows], float(self.s_slope[j]), k, BETA_CLAMP)
-            run.work += 2.0 * evals * len(rows)
+            self.work += 2.0 * evals * len(rows)
             if clamped:
                 self.divergent.add(j + 1)
             delta[j] = d
@@ -952,7 +903,7 @@ class _IisFamily(_ProfiledState):
         with np.errstate(over="ignore"):
             mu_ring *= np.exp(self.inst.design.slope_matvec(new_slope - slope))
         slope[:] = new_slope
-        run.work += self.inst.design.nnz
+        self.work += self.inst.design.nnz
         return _step_outcome(moved)
 
 
@@ -964,35 +915,23 @@ def iis_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult
     slope mean for all coordinates at once; the intercept is recovered in
     closed form at the end.
     """
-    cfg = cfg or SolverConfig(variant="iis")
-    return _drive("iis", cfg, _IisFamily(inst, cfg))
+    return _fit(inst, cfg, "iis")
 
 
 def profiled_scaling_sequence(inst: ProblemInstance, n_iters: int,
                               slope0: np.ndarray | None = None) -> list[np.ndarray]:
-    """Slope iterates of the profiled-objective scaling recursion.
+    """Slope iterates of the profiled-objective scaling recursion: the start
+    and the slopes after each of ``n_iters`` iis steps.
 
     Keeps the un-normalized slope mean q o exp(Xs slope) and solves
     (total/<1,mu>) * sum_i x_ij mu_i exp(rowsum_i d) = <x_j, n> per
     coordinate.  Used by the equivalence test against the normalized form.
     """
-    X = inst.design
-    slope = np.zeros(X.n_cols - 1) if slope0 is None else np.asarray(slope0, dtype=float).copy()
-    mu_ring = inst.offset * np.exp(X.slope_matvec(slope))
-    total = inst.total_count
-    s_slope = inst.suff_stats[1:]
-    rowsum = X.slope_row_sums()
-    columns = X.columns()[1:]
-    out = [slope.copy()]
+    fam = _IisFamily(inst, SolverConfig(variant="iis", beta_init=slope0), "iis")
+    out = [fam.slope.copy()]
     for _ in range(n_iters):
-        k = total / float(mu_ring.sum())
-        delta = np.zeros(X.n_cols - 1)
-        for j, (rows, vals) in enumerate(columns):
-            d, _, _ = solve_scaling_equation(vals * mu_ring[rows], rowsum[rows], float(s_slope[j]), k, 1e6)
-            delta[j] = d
-        slope = slope + delta
-        mu_ring = mu_ring * np.exp(X.slope_matvec(delta))
-        out.append(slope.copy())
+        fam.step()
+        out.append(fam.slope.copy())
     return out
 
 
@@ -1141,15 +1080,15 @@ class _QipsFamily(_ProfiledState):
     """Accelerated steps under the fixed curvature bound W, with a momentum
     restart after five objective increases in a row."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
-        super().__init__(inst, cfg, "q-ips")
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst, cfg, variant)
         X = inst.design
-        self.lam = cfg.lam if cfg.variant == "ridge-q-ips" else 0.0
+        self.lam = cfg.lam if variant == "ridge-q-ips" else 0.0
         self.eta_aux = self.slope.copy()
         self.theta = 1.0
         self.W = _WOperator(inst, cfg.w_choice, self.lam)
         N, p = X.n_rows, X.n_cols
-        self.setup_work = float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
+        self.work += float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
         self.step_work = 3.0 * X.nnz + 6.0 * N \
             + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
         self.bad_streak = 0
@@ -1174,7 +1113,7 @@ class _QipsFamily(_ProfiledState):
             g = g + self.lam * self.slope
         return g
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         X, B, lam, theta, slope = self.inst.design, BETA_CLAMP, self.lam, self.theta, self.slope
         alpha = (1.0 - theta) * slope + theta * self.eta_aux
         w, _ = mdl._log_offset_weights(self.inst, alpha)
@@ -1190,12 +1129,12 @@ class _QipsFamily(_ProfiledState):
             slope_new = clipped
         with np.errstate(over="ignore"):
             self.mu_ring *= np.exp(X.slope_matvec(slope_new - slope))
-        theta_new = 0.5 * (np.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
+        theta_new = _next_theta(theta)
         # the momentum state (eta_aux, theta) is part of the iterate
         moved = theta_new != theta or not (
             np.array_equal(slope_new, slope) and np.array_equal(eta_new, self.eta_aux))
         self.slope, self.eta_aux, self.theta = slope_new, eta_new, theta_new
-        run.work += self.step_work
+        self.work += self.step_work
         obj = self.ridge_objective()
         if obj > self.obj + 1e-6 * (1.0 + abs(self.obj)):
             self.bad_streak += 1
@@ -1214,19 +1153,21 @@ def qips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResul
     """Momentum-accelerated fixed-quadratic-bound solver on the profiled
     objective; the ridge-q-ips variant penalizes the slopes with lam/2 ||.||^2.
     """
-    cfg = cfg or SolverConfig(variant="q-ips")
-    return _drive(cfg.variant, cfg, _QipsFamily(inst, cfg))
+    ridge = cfg is not None and cfg.variant == "ridge-q-ips"
+    return _fit(inst, cfg, "ridge-q-ips" if ridge else "q-ips")
+
+
+def _next_theta(theta):
+    """One step of the momentum recursion theta^2_{t+1} = (1 - theta_{t+1}) theta^2_t."""
+    return 0.5 * (np.sqrt(theta**4 + 4.0 * theta**2) - theta**2)
 
 
 def momentum_sequence(n: int) -> np.ndarray:
     """First n+1 momentum factors theta_t of the acceleration recursion, from theta_0 = 1."""
-    out = np.empty(n + 1)
-    th = 1.0
-    out[0] = th
-    for t in range(1, n + 1):
-        th = 0.5 * (np.sqrt(th**4 + 4.0 * th**2) - th**2)
-        out[t] = th
-    return out
+    out = [1.0]
+    for _ in range(n):
+        out.append(_next_theta(out[-1]))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1286,16 +1227,15 @@ class _BipsFamily(_ProfiledState):
     """A fresh random blocking of the slopes per sweep, then one
     block-Newton update per block in turn."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
-        super().__init__(inst, cfg, "b-ips")
-        self.cfg = cfg
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        super().__init__(inst, cfg, variant)
         self.sizes = [len(b) for b in _auto_blocks(inst.n_cols - 1, cfg.block_sizes, what="b-ips")]
         self.rng = philox_rng(cfg.seed)
         self.flags["line_search_failures"] = 0
         if cfg.track_block_objective:
             self.diagnostics["block_objectives"] = []
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         cfg, X, slope = self.cfg, self.inst.design, self.slope
         before = slope.copy()
         failures = self.flags["line_search_failures"]
@@ -1307,7 +1247,7 @@ class _BipsFamily(_ProfiledState):
             Xk = X.column_block(cols + 1)
             d, mu_new, work, failed = _block_newton_profiled(
                 Xk, self.s_slope[cols], self.mu_ring, self.total)
-            run.work += work
+            self.work += work
             if failed:
                 self.flags["line_search_failures"] += 1
             new_vals = np.clip(slope[cols] + d, -BETA_CLAMP, BETA_CLAMP)
@@ -1329,8 +1269,7 @@ def bips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResul
     """Random blocking followed by cyclic block-Newton updates of the
     profiled objective; the intercept is recovered in closed form at the end.
     """
-    cfg = cfg or SolverConfig(variant="b-ips")
-    return _drive("b-ips", cfg, _BipsFamily(inst, cfg))
+    return _fit(inst, cfg, "b-ips")
 
 # ---------------------------------------------------------------------------
 # Dense Newton baseline
@@ -1342,28 +1281,25 @@ NEWTON_MAX_P = 5000
 class _NewtonFamily(_RawState):
     """One full-Hessian Newton step with Armijo backtracking per iteration."""
 
-    def __init__(self, inst: ProblemInstance, cfg: SolverConfig):
+    def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
         p = inst.n_cols
         if p > NEWTON_MAX_P:
             raise SolverError(f"newton baseline is limited to p <= {NEWTON_MAX_P}")
-        super().__init__(inst, cfg)
+        super().__init__(inst, cfg, variant)
         self.step_work = float(inst.n_rows) * p * p + p**3 / 3.0
         self.g = None
-
-    def objective(self) -> float:
-        return mdl.neg_log_likelihood(self.inst, self.c)
 
     def grad_norm(self) -> float:
         # kept for the next step, so a record and that step share one gradient
         self.g = mdl.gradient(self.inst, self.c)
         return float(np.max(np.abs(self.g)))
 
-    def step(self, run: _Run) -> str:
+    def step(self) -> str:
         inst = self.inst
         g, self.g = self.g, None
         if g is None:
             g = mdl.gradient(inst, self.c)
-            run.work += inst.design.nnz + inst.n_cols
+            self.work += inst.design.nnz + inst.n_cols
 
         def trial(t, direction):
             beta = np.clip(self.c.beta + t * direction, -BETA_CLAMP, BETA_CLAMP)
@@ -1371,7 +1307,7 @@ class _NewtonFamily(_RawState):
             return mdl.neg_log_likelihood(inst, c), c
 
         step = _armijo(g, inst.design.weighted_gram(self.c.mu), self.objective(), trial, 50)
-        run.work += self.step_work
+        self.work += self.step_work
         if step is None:
             # a rejected step leaves the iterate unchanged and ends the run as diverged
             return _step_outcome(False, failed=True)
@@ -1386,31 +1322,33 @@ def newton_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitRes
     Serves as the accuracy oracle for the scaling variants; guarded to
     p <= 5000 where a dense factorization is reasonable.
     """
-    cfg = cfg or SolverConfig(variant="newton")
-    return _drive("newton", cfg, _NewtonFamily(inst, cfg))
+    return _fit(inst, cfg, "newton")
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_FITTERS = {
-    "ips": ips_fit,
-    "a-ips": a_ips_fit,
-    "x2-ips": x2_ips_fit,
-    "mm-binary": mm_binary_fit,
-    "gis": gis_fit,
-    "mm-general": mm_general_fit,
-    "mm-parallel": mm_parallel_fit,
-    "iis": iis_fit,
-    "q-ips": qips_fit,
-    "ridge-q-ips": qips_fit,
-    "b-ips": bips_fit,
-    "newton": newton_fit,
-    "l1-ips": l1_ips_fit,
+_FAMILIES = {
+    "ips": _CDFamily, "a-ips": _CDFamily, "x2-ips": _CDFamily,
+    "mm-binary": _MMFamily, "gis": _MMFamily, "mm-general": _MMFamily, "mm-parallel": _MMFamily,
+    "iis": _IisFamily, "q-ips": _QipsFamily, "ridge-q-ips": _QipsFamily,
+    "b-ips": _BipsFamily, "newton": _NewtonFamily, "l1-ips": _CDFamily,
 }
+_VARIANTS = tuple(_FAMILIES)
 
 
-def solve(inst: ProblemInstance, cfg: SolverConfig) -> FitResult:
-    """Run the variant selected by the config."""
-    return _FITTERS[cfg.variant](inst, cfg)
+def solve(inst: ProblemInstance, cfg: SolverConfig, **hooks) -> FitResult:
+    """Run the variant selected by the config.
+
+    This is the only place where a variant name selects a solver family.
+    ``hooks`` go to the family's constructor (a-ips takes ``perm_fn``, a
+    test hook that replaces its per-sweep permutation).
+    """
+    return _drive(_FAMILIES[cfg.variant](inst, cfg, cfg.variant, **hooks))
+
+
+def _fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str, **hooks) -> FitResult:
+    """Fit ``variant`` under cfg (default: the default config) with its variant replaced."""
+    cfg = SolverConfig(variant=variant) if cfg is None else replace(cfg, variant=variant)
+    return solve(inst, cfg, **hooks)

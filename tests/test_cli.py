@@ -76,6 +76,19 @@ class TestFit:
         for name in ("beta.csv", "mu.csv", "trace.csv"):
             assert files_equal(o1 / name, o2 / name), name
 
+    def test_lambda_rejected_for_an_unpenalized_solver(self, tmp_path, capsys):
+        dpath, npath = tmp_path / "d.csv", tmp_path / "n.csv"
+        dpath.write_text("row,col,value\n0,0,1\n1,0,1\n2,0,1\n3,0,1\n1,1,1\n2,2,1\n3,2,1\n")
+        npath.write_text("row,count\n0,3\n1,4\n2,5\n3,2\n")
+        inputs = ["--design", str(dpath), "--counts-vec", str(npath)]
+        out = tmp_path / "q"
+        assert run_cli("fit", *inputs, "--solver", "q-ips", "--lambda", "5",
+                       "--out-dir", str(out)) == 1
+        assert "lambda" in capsys.readouterr().err
+        assert not (out / "beta.csv").exists()
+        assert run_cli("fit", *inputs, "--solver", "ridge-q-ips", "--lambda", "5",
+                       "--out-dir", str(tmp_path / "r")) == 0
+
     def test_malformed_counts_reports_line(self, tmp_path, capsys):
         schema, counts = write_2x2_inputs(tmp_path)
         bad = tmp_path / "bad.csv"

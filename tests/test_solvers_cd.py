@@ -22,7 +22,15 @@ from ipscale.solvers import (
     a_ips_fit,
     bips_fit,
     check_stop,
+    gis_fit,
+    iis_fit,
     ips_fit,
+    l1_ips_fit,
+    mm_binary_fit,
+    mm_general_fit,
+    mm_parallel_fit,
+    newton_fit,
+    qips_fit,
     solve,
     x2_ips_fit,
 )
@@ -440,3 +448,48 @@ class TestL1ThresholdUpdate:
                 want = [solvers.l1_threshold_update(j, beta[j], s[j], den[j], lam)
                         for j in range(400)]
             assert _same_bits(got, np.array(want, dtype=float))
+
+
+class TestOneDispatcher:
+    """solve picks the family; each *_fit fits the variant it is named after."""
+
+    FITS = {"ips": ips_fit, "a-ips": a_ips_fit, "x2-ips": x2_ips_fit, "l1-ips": l1_ips_fit,
+            "mm-binary": mm_binary_fit, "gis": gis_fit, "mm-general": mm_general_fit,
+            "mm-parallel": mm_parallel_fit, "iis": iis_fit, "q-ips": qips_fit,
+            "b-ips": bips_fit, "newton": newton_fit}
+
+    @pytest.mark.parametrize("variant", sorted(FITS))
+    def test_fit_runs_its_own_variant_under_another_variants_config(self, variant):
+        inst = table_instance_3x3x3()
+        other = "newton" if variant != "newton" else "ips"
+        res = self.FITS[variant](inst, SolverConfig(variant=other, eps_tol=1e-8, max_iters=50))
+        ref = solve(inst, SolverConfig(variant=variant, eps_tol=1e-8, max_iters=50))
+        assert res.variant == variant
+        assert np.array_equal(res.beta, ref.beta) and np.array_equal(res.mu, ref.mu)
+        assert traces_equal(res.trace, ref.trace)
+
+    def test_qips_fit_given_an_ips_config_fits_q_ips(self):
+        inst = table_instance_3x3x3()
+        res = qips_fit(inst, SolverConfig(variant="ips"))
+        ref = solve(inst, SolverConfig(variant="q-ips"))
+        assert res.variant == "q-ips"
+        assert np.array_equal(res.beta, ref.beta)
+        assert traces_equal(res.trace, ref.trace)
+
+    def test_qips_fit_keeps_a_ridge_config(self):
+        inst = table_instance_3x3x3()
+        cfg = SolverConfig(variant="ridge-q-ips", lam=2.0, eps_tol=1e-8)
+        res = qips_fit(inst, cfg)
+        assert res.variant == "ridge-q-ips"
+        assert np.array_equal(res.beta, solve(inst, cfg).beta)
+        assert not np.array_equal(res.beta, qips_fit(inst, SolverConfig(eps_tol=1e-8)).beta)
+
+    @pytest.mark.parametrize("variant", sorted(set(_VARIANTS) - {"l1-ips", "ridge-q-ips"}))
+    def test_penalty_rejected_for_unpenalized_variants(self, variant):
+        with pytest.raises(SolverError, match="lambda"):
+            SolverConfig(variant=variant, lam=5.0)
+        SolverConfig(variant=variant, lam=0.0)
+
+    def test_ips_fit_refuses_a_penalized_config(self):
+        with pytest.raises(SolverError, match="lambda"):
+            ips_fit(table_instance_3x3x3(), SolverConfig(variant="l1-ips", lam=1.0))

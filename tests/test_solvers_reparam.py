@@ -81,6 +81,13 @@ class TestScalingRecursions:
         for sa, sb in zip(a, b):
             assert np.max(np.abs(sa - sb)) <= 1e-10
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_profiled_sequence_is_the_iis_iterates(self, k):
+        inst = nonneg_instance_20x6(seed=58)
+        res = iis_fit(inst, SolverConfig(variant="iis", eps_tol=1e-300, max_iters=k))
+        assert res.termination == "iter_limit" and res.trace.final().iteration == k
+        assert profiled_scaling_sequence(inst, k)[k].tobytes() == res.beta[1:].tobytes()
+
     def test_normalized_means_stay_normalized(self):
         inst = nonneg_instance_20x6(seed=53)
         slopes = normalized_scaling_sequence(inst, 6)
