@@ -24,6 +24,7 @@ from . import harness, model as mdl
 from ._io import fmt, write_csv, write_json
 from .design import (
     DesignError,
+    EmptyColumnError,
     TableSchema,
     build_design_for_cells,
     build_raking_design,
@@ -308,23 +309,28 @@ def cmd_rake(args) -> int:
     if not args.margin:
         raise InputError("need at least one --margin file")
     margins = [_read_margin_csv(m, schema) for m in args.margin]
-    X = build_raking_design(schema, [subset for subset, _, _ in margins])
+    # The seed's zero cells stay zero, so the design holds its positive cells only.
+    positive = np.flatnonzero(seed_table > 0)
+    try:
+        X = build_raking_design(schema, [subset for subset, _, _ in margins],
+                                schema.level_grid()[:, positive].T)
+    except EmptyColumnError as exc:
+        # a margin cell wiped out by the seed's zero structure can never match
+        print(f"rake: infeasible zero structure: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     # Target statistics in design-column order: the intercept's target is the
     # first margin's total (the fitted table mass must match it), then each
     # margin's cells in the row-major order the raking design uses.
     s = np.concatenate([[margins[0][2]], *(targets for _, targets, _ in margins)])
-    try:
-        inst = ProblemInstance.from_suff_stats(X, s, offset=seed_table)
-    except DesignError as exc:
-        # a margin cell wiped out by the seed's zero structure can never match
-        print(f"rake: infeasible zero structure: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    inst = ProblemInstance.from_suff_stats(X, s, offset=seed_table[positive])
     cfg = _config_from_args(args)
     res = solve(inst, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
+    adjusted = np.zeros(schema.n_cells)
+    adjusted[positive] = res.mu
     write_csv(os.path.join(args.out_dir, "adjusted.csv"), [n for n, _ in schema.factors] + ["value"],
-              zip(*schema.level_grid(), map(fmt, inst.expand_mu(res.mu))))
+              zip(*schema.level_grid(), map(fmt, adjusted)))
 
     worst = 0.0
     worst_label = ""

@@ -52,6 +52,10 @@ class DesignError(ValueError):
     """Invalid design construction (zero rows/columns, bad schema, ...)."""
 
 
+class EmptyColumnError(DesignError):
+    """A column of a table design has no cell among the selected cells."""
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """Factors of a multi-way contingency table plus the interaction order.
@@ -191,7 +195,8 @@ class DesignMatrix:
         self.matrix = matrix
         self.kind = kind
         self.column_labels = self._labels(labels, matrix.shape[1])
-        abs_matrix = abs(matrix)
+        # |X| is X itself unless the design is signed: no copy of a binary design
+        abs_matrix = abs(matrix) if kind == KIND_GENERAL else matrix
         self._abs_row_sums = abs_matrix.sum(axis=1)
         if np.any(self._abs_row_sums == 0.0):
             raise DesignError("design has an all-zero row")
@@ -351,11 +356,16 @@ class DesignMatrix:
         arr = _dense(self.matrix)
         return arr.copy() if arr is self.matrix else arr
 
-    def pos_neg_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (positive part, negative part) of the matrix, both >= 0."""
+    def pos_neg_parts(self):
+        """(positive part, negative part) of the matrix, both >= 0.  Unless the
+        design is signed they are the matrix itself and an all-zero CSC array,
+        so a binary design stays sparse; a signed design's parts are dense."""
         if self._pos_neg is None:
-            arr = _dense(self.matrix)
-            self._pos_neg = (np.where(arr > 0, arr, 0.0), np.where(arr < 0, -arr, 0.0))
+            arr = self.matrix
+            if self.kind == KIND_GENERAL:
+                self._pos_neg = (np.where(arr > 0, arr, 0.0), np.where(arr < 0, -arr, 0.0))
+            else:
+                self._pos_neg = (arr, sp.csc_array(arr.shape))
         return self._pos_neg
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
@@ -455,7 +465,7 @@ def _table_terms(schema: TableSchema) -> list[tuple[int, ...]]:
 
 
 def _term_design(schema: TableSchema, levels: np.ndarray, terms, first: int):
-    """COO matrix and column labels of a term-coded design over some cells.
+    """CSC matrix and column labels of a term-coded design over some cells.
 
     ``levels`` is an (r, n) array of 1-based factor levels, one column per
     cell.  Each term, a sorted tuple of factors, adds one column block: a
@@ -463,28 +473,44 @@ def _term_design(schema: TableSchema, levels: np.ndarray, terms, first: int):
     row-major order (last factor fastest).  A cell has a 1 in the column of
     its own levels on the term, and in none of the block when one of them is
     below ``first``: 2 gives dummy coding, 1 margin indicators.
+
+    The CSC arrays are allocated once, at their final size, and written in
+    place: a first pass counts each column's cells for ``indptr``, a second
+    writes each term's cells sorted stably by column into ``indices``, so
+    rows ascend within every column.  Besides them, only arrays of n
+    entries are allocated.
     """
     names = [n for n, _ in schema.factors]
     sizes = [m for _, m in schema.factors]
     n = levels.shape[1]
-    every = np.arange(n)
-    rows, cols, labels = [], [], []
-    for term in terms:
+    widths = [math.prod(sizes[k] - first + 1 for k in term) for term in terms]
+
+    def block(term):
+        """The term's cells (None: all n) and their columns within its block."""
         code = np.zeros(n, dtype=np.int64)
         for k in term:
             code *= sizes[k] - first + 1
             code += levels[k] - first
-        code += len(labels)
-        cells = every  # levels count from 1, so with first = 1 every cell is in the block
-        if first > 1:
-            cells = np.flatnonzero(levels[list(term)].min(axis=0, initial=first) >= first)
-            code = code[cells]
-        rows.append(cells)
-        cols.append(code)
-        labels += ["*".join(f"{names[k]}={lev}" for k, lev in zip(term, combo)) or "(intercept)"
-                   for combo in itertools.product(*(range(first, sizes[k] + 1) for k in term))]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, len(labels))), labels
+        if first == 1:  # levels count from 1, so every cell is in the block
+            return None, code
+        cells = np.flatnonzero(levels[list(term)].min(axis=0, initial=first) >= first)
+        return cells, code[cells]
+
+    indptr = np.zeros(sum(widths) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.bincount(block(term)[1], minlength=width)
+                              for term, width in zip(terms, widths)]), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    start = 0
+    for term, width in zip(terms, widths):
+        cells, code = block(term)
+        # codes narrowed to 8 or 16 bits take numpy's radix sort
+        order = np.argsort(code.astype(np.min_scalar_type(width - 1)), kind="stable")
+        indices[indptr[start]:indptr[start + width]] = order if cells is None else cells[order]
+        start += width
+    labels = ["*".join(f"{names[k]}={lev}" for k, lev in zip(term, combo)) or "(intercept)"
+              for term in terms
+              for combo in itertools.product(*(range(first, sizes[k] + 1) for k in term))]
+    return sp.csc_array((np.ones(len(indices)), indices, indptr), shape=(n, len(labels))), labels
 
 
 def build_table_design(schema: TableSchema) -> DesignMatrix:
@@ -524,16 +550,44 @@ def _canonical_margins(schema: TableSchema, margins_spec) -> list[tuple[int, ...
     return out
 
 
-def build_raking_design(schema: TableSchema, margins_spec) -> DesignMatrix:
+def build_raking_design(schema: TableSchema, margins_spec, level_rows=None) -> DesignMatrix:
     """Binary design whose columns are margin-cell indicators.
 
     One intercept column, then for each requested factor subset one column
     per level combination of that subset (full indicator coding, no
     reference level dropped).  The fitted mean's inner product with a
     margin column is exactly that margin of the table.
+
+    Its rows are every cell of the table in row-major order, or, given
+    ``level_rows`` as for :func:`build_design_for_cells`, those cells in that
+    order; a margin cell that none of them reaches raises
+    :class:`EmptyColumnError`.
     """
     terms = [()] + _canonical_margins(schema, margins_spec)
-    return DesignMatrix._from_matrix(*_term_design(schema, schema.level_grid(), terms, 1))
+    levels = schema.level_grid() if level_rows is None else _selected_levels(schema, level_rows)
+    matrix, labels = _term_design(schema, levels, terms, 1)
+    if level_rows is not None:
+        empty = _empty_columns(matrix)
+        if len(empty):
+            raise EmptyColumnError(f"column {labels[empty[0]]!r} is all-zero on the selected cells")
+    return DesignMatrix._from_matrix(matrix, labels)
+
+
+def _selected_levels(schema: TableSchema, level_rows) -> np.ndarray:
+    """(r, n) levels of the cells given as an (n, r) array of level rows."""
+    level_rows = np.asarray(level_rows, dtype=np.int64)
+    if level_rows.ndim != 2 or level_rows.shape[1] != schema.n_factors:
+        raise DesignError("level rows must be (n_obs, n_factors)")
+    for k, (name, m) in enumerate(schema.factors):
+        col = level_rows[:, k]
+        if np.any((col < 1) | (col > m)):
+            raise DesignError(f"level out of range for factor {name!r}")
+    return level_rows.T
+
+
+def _empty_columns(matrix: sp.csc_array) -> np.ndarray:
+    """Indices of the columns of a CSC array that hold no entry."""
+    return np.flatnonzero(np.diff(matrix.indptr) == 0)
 
 
 def build_design_for_cells(schema: TableSchema, level_rows: np.ndarray,
@@ -545,22 +599,21 @@ def build_design_for_cells(schema: TableSchema, level_rows: np.ndarray,
     observed cells are non-identifiable; with ``drop_empty`` they are removed
     and their labels returned, otherwise construction fails.
     """
-    level_rows = np.asarray(level_rows, dtype=np.int64)
-    if level_rows.ndim != 2 or level_rows.shape[1] != schema.n_factors:
-        raise DesignError("level rows must be (n_obs, n_factors)")
-    if level_rows.shape[0] == 0:
+    levels = _selected_levels(schema, level_rows)
+    if levels.shape[1] == 0:
         raise DesignError("no observed cells")
-    for k, (name, m) in enumerate(schema.factors):
-        col = level_rows[:, k]
-        if col.min() < 1 or col.max() > m:
-            raise DesignError(f"level out of range for factor {name!r}")
-    coo, labels = _term_design(schema, level_rows.T, _table_terms(schema), 2)
-    used = np.bincount(coo.col, minlength=len(labels)) > 0
-    dropped = [label for label, u in zip(labels, used) if not u]
+    matrix, labels = _term_design(schema, levels, _table_terms(schema), 2)
+    empty = _empty_columns(matrix)
+    dropped = [labels[j] for j in empty]
     if dropped and not drop_empty:
-        raise DesignError(f"column {dropped[0]!r} is all-zero on the observed cells")
-    kept = [label for label, u in zip(labels, used) if u]
-    return DesignMatrix._from_matrix(coo.tocsc()[:, used], kept), dropped
+        raise EmptyColumnError(f"column {dropped[0]!r} is all-zero on the observed cells")
+    if dropped:
+        # an empty column holds no entry: dropping it drops only its indptr step
+        kept = np.setdiff1d(np.arange(len(labels)), empty)
+        labels = [labels[j] for j in kept]
+        matrix = sp.csc_array((matrix.data, matrix.indices, matrix.indptr[np.r_[0, kept + 1]]),
+                              shape=(matrix.shape[0], len(kept)))
+    return DesignMatrix._from_matrix(matrix, labels), dropped
 
 
 def expected_column_count(schema: TableSchema) -> int:

@@ -986,8 +986,11 @@ def _cholesky(H: np.ndarray):
     """Cholesky factor of a symmetric PSD H, escalating a ridge on failure.
 
     Tries H as given, then H + r I with r starting at 1e-10 x the mean
-    diagonal and growing tenfold per try, 14 tries in all.  Returns
-    (factor, repaired); the factor is None when every try failed.
+    diagonal and growing tenfold per try, 14 tries in all.  A try fails when
+    the factorization does, or when a pivot is at the rounding level of its
+    diagonal entry, L_kk^2 <= p eps H_kk: a matrix that is singular in exact
+    arithmetic can factor with a last pivot that rounding left positive.
+    Returns (factor, repaired); the factor is None when every try failed.
     """
     p = H.shape[0]
     base = float(np.trace(H)) / p if p else 1.0
@@ -995,12 +998,15 @@ def _cholesky(H: np.ndarray):
         base = 1.0
     damp = 0.0
     for _ in range(14):
+        Hd = H + damp * np.eye(p) if damp else H
         try:
-            cf = scipy.linalg.cho_factor(
-                H + damp * np.eye(p) if damp else H, lower=True, check_finite=False)
-            return cf, damp > 0.0
+            cf = scipy.linalg.cho_factor(Hd, lower=True, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
-            damp = base * 1e-10 if damp == 0.0 else damp * 10.0
+            pass
+        else:
+            if not np.any(np.diag(cf[0]) ** 2 <= p * np.finfo(float).eps * np.diag(Hd)):
+                return cf, damp > 0.0
+        damp = base * 1e-10 if damp == 0.0 else damp * 10.0
     return None, True
 
 

@@ -241,6 +241,26 @@ class TestRake:
         assert code == 3
         assert "zero structure" in capsys.readouterr().err
 
+    def test_all_zero_seed_exits_3(self, tmp_path, capsys):
+        schema, _ = write_2x2_inputs(tmp_path)
+        seed = self.write_seed(tmp_path, [0, 0, 0, 0])
+        rows, cols = self.write_margins(tmp_path, [3, 1], [2, 2])
+        code = run_cli("rake", "--schema", schema, "--seed-table", seed,
+                       "--margin", rows, "--margin", cols, "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert "zero structure" in capsys.readouterr().err
+
+    def test_repeated_margin_exits_1(self, tmp_path, capsys):
+        # an input error, even when the seed's zero cells also empty a margin cell
+        schema, _ = write_2x2_inputs(tmp_path)
+        for values in ([1, 1, 1, 1], [1, 1, 0, 0]):
+            seed = self.write_seed(tmp_path, values)
+            rows, _ = self.write_margins(tmp_path, [3, 1], [2, 2])
+            code = run_cli("rake", "--schema", schema, "--seed-table", seed,
+                           "--margin", rows, "--margin", rows, "--out-dir", str(tmp_path / "o"))
+            assert code == 1
+            assert "duplicate margin subsets" in capsys.readouterr().err
+
     def test_missing_margin_cell_rejected(self, tmp_path):
         schema, _ = write_2x2_inputs(tmp_path)
         seed = self.write_seed(tmp_path, [1, 1, 1, 1])

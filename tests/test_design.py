@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ipscale.design import (
     DesignError,
     DesignMatrix,
+    EmptyColumnError,
     TableSchema,
     build_design_for_cells,
     build_raking_design,
@@ -304,6 +305,47 @@ class TestTermCodedDesigns:
         with pytest.raises(DesignError, match="no observed cells"):
             build_design_for_cells(schema, np.zeros((0, 2), dtype=np.int64))
 
+    @settings(deadline=None)
+    @given(_schemas(), st.data())
+    def test_raking_design_on_cells_is_the_row_subset(self, schema, data):
+        r = schema.n_factors
+        margins = data.draw(st.lists(
+            st.lists(st.integers(0, r - 1), min_size=1, max_size=min(3, r), unique=True),
+            min_size=1, max_size=4, unique_by=lambda m: tuple(sorted(m))))
+        rows = np.array(data.draw(st.lists(st.integers(0, schema.n_cells - 1), unique=True)),
+                        dtype=np.int64)
+        levels = table_cells(schema)[rows]
+        full = build_raking_design(schema, margins)
+        try:
+            want = full.drop_rows(rows)
+        except DesignError:  # a margin cell none of the rows reaches
+            with pytest.raises(EmptyColumnError, match="all-zero on the selected cells"):
+                build_raking_design(schema, margins, levels)
+            return
+        got = build_raking_design(schema, margins, levels)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.shape == want.shape and got.column_labels == full.column_labels
+
+    @pytest.mark.parametrize("build", ["table", "raking"])
+    def test_build_peak_memory_per_stored_entry(self, build):
+        # the final CSC arrays take 16 bytes per stored entry
+        if build == "table":  # the 10^4 x 523 moderate table
+            schema = TableSchema(tuple((f"f{i}", 10) for i in range(4)), 2)
+            make = lambda: build_table_design(schema)  # noqa: E731
+        else:  # the 7^6-cell seed table raked to its 15 two-way margins
+            schema = TableSchema(tuple((f"f{i}", 7) for i in range(6)), 1)
+            make = lambda: build_raking_design(  # noqa: E731
+                schema, list(itertools.combinations(range(6), 2)))
+        tracemalloc.start()
+        try:
+            X = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * X.nnz, f"{peak / X.nnz:.1f} bytes per stored entry"
+
 
 class TestTripletCsv:
     def test_roundtrip_binary(self, tmp_path):
@@ -444,6 +486,14 @@ class TestDesignContract:
         b = make_rng(29).normal(size=p - 1)
         assert np.array_equal(design.slope_matvec(b), design.submatrix(np.arange(1, p)) @ b)
 
+    def test_pos_neg_parts_keep_the_storage_unless_signed(self, design):
+        pos, neg = design.pos_neg_parts()
+        if design.kind == "general":
+            assert isinstance(pos, np.ndarray) and isinstance(neg, np.ndarray)
+        else:
+            assert pos is design.matrix
+            assert sp.issparse(neg) and neg.shape == design.shape and neg.nnz == 0
+
     def test_drop_rows_keeps_storage(self, design):
         keep = np.arange(1, design.n_rows)
         Y = design.drop_rows(keep)
@@ -451,6 +501,18 @@ class TestDesignContract:
         assert type(Y.matrix) is type(design.matrix)
         assert np.array_equal(Y.toarray(), design.toarray()[keep])
         assert Y.column_labels == design.column_labels
+
+
+def test_binary_pos_neg_parts_stay_sparse_in_memory():
+    # the moderate table's dense parts would take 2 x 41.8 MB
+    X = build_table_design(TableSchema(tuple((f"f{i}", 10) for i in range(4)), 2))
+    tracemalloc.start()
+    try:
+        X.pos_neg_parts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * X.n_cols, f"{peak} bytes"
 
 
 @st.composite

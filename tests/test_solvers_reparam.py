@@ -365,3 +365,15 @@ def test_duplicated_slope_column_repairs_the_factorization():
     for fit, variant in ((bips_fit, "b-ips"), (newton_fit, "newton")):
         res = fit(inst, SolverConfig(variant=variant, eps_tol=1e-8))
         assert res.converged and res.trace.final().rel_gradient <= 1e-8, variant
+
+
+def test_copied_slope_column_rounding_to_a_positive_pivot_gets_the_ridge():
+    # with philox_rng(4) the bound's last pivot rounds to 2.3e-13 against a
+    # diagonal near 1.8e3: the factorization succeeds, but the matrix is singular
+    rng = make_rng(4)
+    arr = np.hstack([np.ones((40, 1)), rng.uniform(0.0, 1.0, size=(40, 5))])
+    X = DesignMatrix.from_dense(np.hstack([arr, arr[:, [2]]]))
+    inst = ProblemInstance.from_counts(X, rng.poisson(5.0, size=40).astype(float) + 1.0)
+    res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8, max_iters=20000))
+    assert res.flags["w_ridge_repaired"]
+    assert res.converged and res.trace.final().rel_gradient <= 1e-8
