@@ -54,6 +54,16 @@ class TestFit:
         assert trace[0]["rel_gradient"] == "1"
         assert "est_error" not in trace[0]
 
+    def test_block_solver_reports_its_newton_steps(self, tmp_path):
+        schema, counts = write_2x2_inputs(tmp_path)
+        out = tmp_path / "out"
+        code = run_cli("fit", "--counts", counts, "--schema", schema,
+                       "--solver", "b-ips", "--eps-tol", "1e-10", "--out-dir", str(out))
+        assert code == 0
+        flags = json.loads((out / "summary.json").read_text())["flags"]
+        assert flags["line_search_failures"] == 0
+        assert isinstance(flags["newton_steps"], int) and flags["newton_steps"] > 0
+
     def test_seeded_runs_identical(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)
         outs = []

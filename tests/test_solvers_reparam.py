@@ -10,6 +10,8 @@ from ipscale.solvers import (
     ConvergenceTrace,
     SolverConfig,
     SolverError,
+    _BipsFamily,
+    _block_newton_profiled,
     bips_fit,
     check_stop,
     iis_fit,
@@ -213,11 +215,6 @@ class TestBlockSolver:
         assert res.termination == "tol_reached"
         assert np.max(np.abs(res.beta - oracle_beta(inst))) <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "b-ips takes the fixed-point exit once every inner block solve stops at "
-        "its absolute tolerance INNER_TOL * (1 + total): it reports tol_reached "
-        "at a relative gradient near 2e-9, above eps_tol, and about 1.1e-8 "
-        "from the oracle"))
     @pytest.mark.parametrize("levels, block_sizes", [
         ((2, 3, 4), (8, 5, 3, 1)),
         ((4, 4, 3), (12, 10, 6, 1)),
@@ -232,6 +229,26 @@ class TestBlockSolver:
         assert res.termination == "tol_reached"
         assert res.trace.final().rel_gradient <= 1e-11
         assert np.max(np.abs(res.beta - oracle_beta(inst))) <= 1e-8
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_binary_instance(71, 60, 9),
+        lambda: random_binary_instance(72, 90, 14),
+        lambda: random_general_instance(73, 60, 9),
+        lambda: random_general_instance(74, 80, 13),
+    ], ids=["binary-9", "binary-14", "signed-9", "signed-13"])
+    @pytest.mark.parametrize("layout", [
+        lambda m: (m,),
+        lambda m: (m - m // 2, m // 2),
+        lambda m: (2, m - 5, 3),
+    ], ids=["one", "halves", "three"])
+    def test_tol_reached_run_meets_eps_tol(self, make, layout):
+        # a fixed-point exit above eps_tol would report tol_reached falsely
+        inst = make()
+        cfg = SolverConfig(variant="b-ips", eps_tol=1e-11, block_sizes=layout(inst.n_cols - 1),
+                           seed=1)
+        res = bips_fit(inst, cfg)
+        assert res.termination == "tol_reached"
+        assert res.trace.final().rel_gradient <= cfg.eps_tol
 
     def test_objective_non_increasing_per_block(self):
         inst = random_general_instance(64, 30, 7)
@@ -260,6 +277,68 @@ class TestBlockSolver:
         inst = ProblemInstance.from_counts(X, [1.0, 2.0, 3.0, 1.0])
         with pytest.raises(SolverError, match="intercept"):
             bips_fit(inst, SolverConfig(variant="b-ips"))
+
+
+class TestInnerStop:
+    """b-ips solves each block only to the forcing tolerance of its sweep."""
+
+    def _block(self, inst, cols):
+        Xk = inst.design.column_block(cols)
+        mu_ring = inst.offset * np.exp(inst.design.slope_matvec(np.full(inst.n_cols - 1, 0.1)))
+        sk = inst.suff_stats[cols]
+        gk = -sk + inst.total_count * (Xk.rmatvec(mu_ring) / mu_ring.sum())
+        return Xk, sk, mu_ring, float(np.max(np.abs(gk)))
+
+    def test_block_meeting_tol_takes_no_step(self):
+        inst = table_instance_3x3x3()
+        assert inst.design.kind == "binary"
+        Xk, sk, mu_ring, gmax = self._block(inst, np.arange(1, 9))
+        flags = {"newton_steps": 0}
+        d, mu_new, _, failed = _block_newton_profiled(
+            Xk, sk, mu_ring, inst.total_count, gmax, flags)
+        assert np.array_equal(d, np.zeros(8)) and not failed
+        assert mu_new.tobytes() == mu_ring.tobytes()
+        assert flags["newton_steps"] == 0
+        # the pair index of the block's Gram is never built
+        assert "_pairs" not in Xk.__dict__
+
+    def test_block_above_tol_steps_until_it_meets_it(self):
+        inst = table_instance_3x3x3()
+        Xk, sk, mu_ring, gmax = self._block(inst, np.arange(1, 9))
+        flags = {"newton_steps": 0}
+        d, mu_new, _, failed = _block_newton_profiled(
+            Xk, sk, mu_ring, inst.total_count, 0.5 * gmax, flags)
+        gk = -sk + inst.total_count * (Xk.rmatvec(mu_new) / mu_new.sum())
+        assert not failed and flags["newton_steps"] >= 1
+        assert np.max(np.abs(gk)) <= 0.5 * gmax
+        assert "_pairs" in Xk.__dict__
+
+    def _optimum(self, inst, block_sizes=None):
+        """b-ips's own fixed point: eps_tol below the rounding floor of the
+        relative gradient leaves only the fixed-point exit."""
+        res = bips_fit(inst, SolverConfig(variant="b-ips", eps_tol=1e-16, max_iters=1000,
+                                          block_sizes=block_sizes))
+        assert res.termination == "tol_reached" and res.trace.final().step_outcome
+        return res
+
+    @pytest.mark.parametrize("block_sizes", [None, (8, 5, 4, 1)])
+    def test_sweep_that_moves_nothing_is_at_the_floor(self, block_sizes):
+        inst = table_instance_3x3x3()
+        opt = self._optimum(inst, block_sizes).beta
+        fam = _BipsFamily(inst, SolverConfig(variant="b-ips", beta_init=opt,
+                                             block_sizes=block_sizes), "b-ips")
+        before = fam.slope.copy()
+        assert fam.step() == "tol_reached"
+        assert np.array_equal(fam.slope, before)
+        assert fam.grad_norm() <= fam.floor
+        assert fam.flags["newton_steps"] == 0
+
+    def test_warm_start_at_the_optimum_counts_no_newton_step(self):
+        inst = table_instance_3x3x3()
+        cold = self._optimum(inst)
+        assert cold.flags["newton_steps"] > 0
+        warm = bips_fit(inst, SolverConfig(variant="b-ips", beta_init=cold.beta))
+        assert warm.flags["newton_steps"] == 0
 
 
 class TestSparseBinaryStorage:
