@@ -198,13 +198,13 @@ def _require_intercept(inst: ProblemInstance) -> None:
         raise ModelError("operation requires an intercept as design column 0")
 
 
-def _log_offset_weights(inst: ProblemInstance, slope: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stable softmax pieces of t_i = xs_i^T slope + log q_i.
+def _offset_softmax(inst: ProblemInstance, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stable softmax pieces of t = z + log q, for a linear predictor z = Xs slope.
 
     Returns (w, logZ) with w = exp(t - max t)/sum(...) summing to one and
-    logZ = log <q, exp(Xs slope)>.
+    logZ = log <q, exp(z)>.
     """
-    t = inst.design.slope_matvec(slope) + np.log(inst.offset)
+    t = z + np.log(inst.offset)
     m = float(t.max())
     e = np.exp(t - m)
     z = float(e.sum())
@@ -215,7 +215,7 @@ def reparam_objective(inst: ProblemInstance, slope: np.ndarray) -> float:
     """L(slope) = -<n, Xs slope> + <1,n> log<q, exp(Xs slope)>, overflow-safe."""
     _require_intercept(inst)
     slope = np.asarray(slope, dtype=np.float64)
-    _, logz = _log_offset_weights(inst, slope)
+    _, logz = _offset_softmax(inst, inst.design.slope_matvec(slope))
     return float(-inst.suff_stats[1:] @ slope + inst.total_count * logz)
 
 
@@ -223,7 +223,7 @@ def reparam_gradient(inst: ProblemInstance, slope: np.ndarray) -> np.ndarray:
     """-Xs^T n + <1,n> Xs^T softmax(Xs slope + log q)."""
     _require_intercept(inst)
     slope = np.asarray(slope, dtype=np.float64)
-    w, _ = _log_offset_weights(inst, slope)
+    w, _ = _offset_softmax(inst, inst.design.slope_matvec(slope))
     return -inst.suff_stats[1:] + inst.total_count * inst.design.slope_rmatvec(w)
 
 
@@ -231,7 +231,7 @@ def optimal_intercept(inst: ProblemInstance, slope: np.ndarray) -> float:
     """b0 = log<1,n> - log<q, exp(Xs slope)>; makes <1,mu> = <1,n> exactly."""
     _require_intercept(inst)
     slope = np.asarray(slope, dtype=np.float64)
-    _, logz = _log_offset_weights(inst, slope)
+    _, logz = _offset_softmax(inst, inst.design.slope_matvec(slope))
     return float(np.log(inst.total_count) - logz)
 
 
@@ -242,7 +242,8 @@ def reparam_hessian(inst: ProblemInstance, slope: np.ndarray, cols=None) -> np.n
     slope block), giving the curvature of a coordinate block.
     """
     _require_intercept(inst)
-    w, _ = _log_offset_weights(inst, np.asarray(slope, dtype=np.float64))
+    slope = np.asarray(slope, dtype=np.float64)
+    w, _ = _offset_softmax(inst, inst.design.slope_matvec(slope))
     if cols is None:
         cols = np.arange(inst.n_cols - 1)
     Xk = inst.design.submatrix_dense(np.asarray(cols) + 1)

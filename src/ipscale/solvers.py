@@ -21,8 +21,9 @@ gis          synchronized update with step 1/R, R = max row sum (non-negative)
 mm-general   per-coordinate quadratic-in-exp closed form for signed designs
 mm-parallel  block-separable surrogate, all blocks updated at once
 iis          intercept-profiled scaling with one 1-D solve per coordinate
-q-ips        fixed quadratic curvature bound plus momentum on the profiled
-             objective (ridge-q-ips adds an l2 penalty on the slopes)
+q-ips        fixed quadratic curvature bound plus momentum with gradient
+             restart on the profiled objective, carrying its linear
+             predictors (ridge-q-ips adds an l2 penalty on the slopes)
 b-ips        randomized block coordinate descent with a dense Newton subsolver
 newton       dense Newton with Armijo backtracking (baseline / oracle)
 l1-ips       cyclic soft-thresholded scaling for the l1-penalized objective
@@ -1089,35 +1090,38 @@ class _WOperator:
 
 
 class _QipsFamily(_ProfiledState):
-    """Accelerated steps under the fixed curvature bound W, with a momentum
-    restart after five objective increases in a row."""
+    """Accelerated steps under the fixed curvature bound W, with the
+    gradient restart of O'Donoghue and Candes (2015).
+
+    The family carries the linear predictors z_slope = Xs slope and
+    z_eta = Xs eta_aux, so a step makes one product each way: Xs^T w for
+    the gradient at alpha = (1 - theta) slope + theta eta_aux, whose
+    predictor is the same combination of the two, and Xs (eta_new - eta_aux)
+    for z_eta.  z_slope takes a product of its own only when the slope clip
+    binds.  The momentum restarts (theta = 1, eta_aux = slope) whenever the
+    step's gradient makes an acute angle with the step it led to,
+    g(alpha)^T (slope_new - slope) > 0.
+    """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
+        self.theta = 1.0  # read by the resync that the profiled state runs at its start
         super().__init__(inst, cfg, variant)
         X = inst.design
         self.lam = cfg.lam if variant == "ridge-q-ips" else 0.0
-        self.eta_aux = self.slope.copy()
-        self.theta = 1.0
+        self.eta_aux = self.slope
         self.W = _WOperator(inst, cfg.w_choice, self.lam)
         N, p = X.n_rows, X.n_cols
         self.work += float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
-        self.step_work = 3.0 * X.nnz + 6.0 * N \
+        self.step_work = 2.0 * X.nnz + 6.0 * N \
             + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
-        self.bad_streak = 0
         self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired,
                           w_fell_back_to_spectral=self.W.fell_back)
-        self.obj = self.ridge_objective()
 
-    def ridge_objective(self) -> float:
+    def objective(self) -> float:
         val = super().objective()
         if self.lam > 0.0:
             val += 0.5 * self.lam * float(self.slope @ self.slope)
         return val
-
-    def objective(self) -> float:
-        # the value the last step computed before any resync: records carry
-        # the objective that the restart test compared
-        return self.obj
 
     def grad(self) -> np.ndarray:
         g = super().grad()
@@ -1125,39 +1129,46 @@ class _QipsFamily(_ProfiledState):
             g = g + self.lam * self.slope
         return g
 
+    def resync(self) -> None:
+        X = self.inst.design
+        self.z_slope = X.slope_matvec(self.slope)
+        # theta is 1 only at the start and after a restart, where eta_aux is the slope
+        self.z_eta = self.z_slope if self.theta == 1.0 else X.slope_matvec(self.eta_aux)
+        self._set_mean()
+
+    def _set_mean(self) -> None:
+        with np.errstate(over="ignore"):
+            self.mu_ring = self.inst.offset * np.exp(self.z_slope)
+
     def step(self) -> str:
         X, B, lam, theta, slope = self.inst.design, BETA_CLAMP, self.lam, self.theta, self.slope
         alpha = (1.0 - theta) * slope + theta * self.eta_aux
-        w, _ = mdl._log_offset_weights(self.inst, alpha)
+        w, _ = mdl._offset_softmax(self.inst, (1.0 - theta) * self.z_slope + theta * self.z_eta)
         g_alpha = -self.s_slope + self.total * X.slope_rmatvec(w)
         if lam > 0.0:
             g_alpha = g_alpha + lam * alpha
         eta_new = self.eta_aux - self.W.solve(g_alpha) / theta
         np.clip(eta_new, -B, B, out=eta_new)
+        z_eta = self.z_eta + X.slope_matvec(eta_new - self.eta_aux)
         slope_new = (1.0 - theta) * slope + theta * eta_new
         clipped = np.clip(slope_new, -B, B)
-        if not np.array_equal(clipped, slope_new):
+        self.work += self.step_work
+        if np.array_equal(clipped, slope_new):
+            self.z_slope = (1.0 - theta) * self.z_slope + theta * z_eta
+        else:
             self.divergent.update(int(j) + 1 for j in np.nonzero(clipped != slope_new)[0])
             slope_new = clipped
-        with np.errstate(over="ignore"):
-            self.mu_ring *= np.exp(X.slope_matvec(slope_new - slope))
+            self.z_slope = X.slope_matvec(slope_new)
+            self.work += X.nnz
+        self._set_mean()
         theta_new = _next_theta(theta)
         # the momentum state (eta_aux, theta) is part of the iterate
         moved = theta_new != theta or not (
             np.array_equal(slope_new, slope) and np.array_equal(eta_new, self.eta_aux))
-        self.slope, self.eta_aux, self.theta = slope_new, eta_new, theta_new
-        self.work += self.step_work
-        obj = self.ridge_objective()
-        if obj > self.obj + 1e-6 * (1.0 + abs(self.obj)):
-            self.bad_streak += 1
-            if self.bad_streak >= 5:
-                self.theta = 1.0
-                self.eta_aux = self.slope.copy()
-                self.flags["momentum_restarts"] += 1
-                self.bad_streak = 0
-        else:
-            self.bad_streak = 0
-        self.obj = obj
+        if float(g_alpha @ (slope_new - slope)) > 0.0:
+            theta_new, eta_new, z_eta = 1.0, slope_new, self.z_slope
+            self.flags["momentum_restarts"] += 1
+        self.slope, self.eta_aux, self.z_eta, self.theta = slope_new, eta_new, z_eta, theta_new
         return _step_outcome(moved)
 
 
@@ -1243,9 +1254,11 @@ class _BipsFamily(_ProfiledState):
     block-Newton update per block in turn.
 
     Each block is solved only to tol = max(BIPS_FORCING * G, floor), G the
-    gradient at the sweep's start.  A sweep that moves no block leaves a
-    state whose gradient is at most BIPS_FORCING times itself, so the
-    fixed-point exit fires only at stationarity or at the rounding floor.
+    gradient at the sweep's start: the one the record just before the sweep
+    computed, or a fresh one when no record came first.  A sweep that moves
+    no block leaves a state whose gradient is at most BIPS_FORCING times
+    itself, so the fixed-point exit fires only at stationarity or at the
+    rounding floor.
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
@@ -1257,12 +1270,24 @@ class _BipsFamily(_ProfiledState):
         if cfg.track_block_objective:
             self.diagnostics["block_objectives"] = []
 
+    def grad_norm(self) -> float:
+        # kept for the next sweep: a record taken just before it is at its start
+        self.start_gnorm = super().grad_norm()
+        return self.start_gnorm
+
+    def resync(self) -> None:
+        super().resync()
+        self.start_gnorm = None
+
     def step(self) -> str:
         cfg, X, slope = self.cfg, self.inst.design, self.slope
         before = slope.copy()
         failures = self.flags["line_search_failures"]
-        tol = max(BIPS_FORCING * self.grad_norm(), self.floor)
-        self.work += 2.0 * X.nnz
+        if self.start_gnorm is None:
+            self.grad_norm()
+            self.work += 2.0 * X.nnz
+        tol = max(BIPS_FORCING * self.start_gnorm, self.floor)
+        self.start_gnorm = None
         perm = self.rng.permutation(len(slope))
         off = 0
         for gsize in self.sizes:

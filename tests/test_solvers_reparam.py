@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from ipscale import harness
 from ipscale import model as mdl
 from ipscale.design import DesignMatrix, TableSchema, build_table_design
+from ipscale.harness import ExperimentSpec
 from ipscale.model import ProblemInstance
 from ipscale.solvers import (
     ConvergenceTrace,
     SolverConfig,
     SolverError,
     _BipsFamily,
+    _QipsFamily,
     _block_newton_profiled,
     bips_fit,
     check_stop,
@@ -166,6 +169,36 @@ class TestMomentumSolver:
         res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8, max_iters=200_000))
         assert res.converged
 
+    @pytest.mark.parametrize("variant, lam", [("q-ips", 0.0), ("ridge-q-ips", 0.5)])
+    def test_gradient_restart_cuts_the_oscillation(self, variant, lam):
+        # restarting only after five objective increases in a row took 2542
+        # steps here; the gradient test restarts as soon as the momentum
+        # points uphill
+        inst = harness.gen_instance(ExperimentSpec("general", n_rows=500, n_cols=21, seed=3))
+        res = qips_fit(inst, SolverConfig(variant=variant, lam=lam, eps_tol=1e-6))
+        assert res.termination == "tol_reached"
+        assert res.trace.final().iteration <= 600
+        assert res.flags["momentum_restarts"] >= 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: table_instance_3x3x3(),
+        lambda: random_general_instance(75, 60, 9),
+    ], ids=["binary", "signed"])
+    def test_linear_predictors_follow_the_coefficients(self, make):
+        inst = make()
+        X = inst.design
+        fam = _QipsFamily(inst, SolverConfig(variant="q-ips"), "q-ips")
+        for _ in range(63):
+            fam.step()
+        for z, coef in ((fam.z_slope, fam.slope), (fam.z_eta, fam.eta_aux)):
+            fresh = X.slope_matvec(coef)
+            assert np.max(np.abs(z - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        assert np.array_equal(fam.mu_ring, inst.offset * np.exp(fam.z_slope))
+        fam.resync()
+        assert np.array_equal(fam.z_slope, X.slope_matvec(fam.slope))
+        assert np.array_equal(fam.z_eta, X.slope_matvec(fam.eta_aux))
+        assert np.array_equal(fam.mu_ring, inst.offset * np.exp(fam.z_slope))
+
     def test_sharp_bound_falls_back_when_counts_too_small(self):
         # total count below the row count: the sharp fixed bound can fail to
         # dominate, and the solver must switch to the spectral bound
@@ -249,6 +282,21 @@ class TestBlockSolver:
         res = bips_fit(inst, cfg)
         assert res.termination == "tol_reached"
         assert res.trace.final().rel_gradient <= cfg.eps_tol
+
+    def test_sweep_reuses_the_gradient_of_the_record_before_it(self, monkeypatch):
+        calls = []
+        product = DesignMatrix.slope_rmatvec
+
+        def counted(self, v):
+            calls.append(1)
+            return product(self, v)
+
+        monkeypatch.setattr(DesignMatrix, "slope_rmatvec", counted)
+        inst = random_general_instance(64, 30, 7)
+        res = bips_fit(inst, SolverConfig(variant="b-ips", eps_tol=1e-8, block_sizes=(2, 2, 2),
+                                          seed=2, record_every=1))
+        assert res.trace.final().iteration >= 3
+        assert len(calls) == len(res.trace.records)
 
     def test_objective_non_increasing_per_block(self):
         inst = random_general_instance(64, 30, 7)
