@@ -12,16 +12,13 @@ files; measured wall time lives in ``summary.json``.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from array import array
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import harness, model as mdl
-from ._io import fmt, write_csv, write_json
+from ._io import read_csv_columns, read_csv_header, record_line, write_csv, write_json
 from .design import (
     DesignError,
     EmptyColumnError,
@@ -54,34 +51,6 @@ class InputError(ValueError):
 # -- input readers ------------------------------------------------------------
 
 
-@contextmanager
-def _csv_records(path):
-    """A CSV's stripped header, and its non-empty records with their line numbers."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path}:1: empty file, expected a header row")
-            yield [h.strip() for h in header], (
-                (lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
-        except UnicodeDecodeError as exc:
-            # the text layer decodes in chunks, so neither the record count nor
-            # the error's offset places the bad byte: decode the whole file
-            with open(path, "rb") as bfh:
-                raw = bfh.read()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            lineno = raw.count(b"\n", 0, exc.start) + 1
-            raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
-
-
 def _key_text(names, levels) -> str:
     return ", ".join(f"{n}={int(v)}" for n, v in zip(names, levels))
 
@@ -96,46 +65,37 @@ def _read_keyed_csv(path, keys, value_name: str, base: int):
     once, and every value must be finite and non-negative.
     """
     names = [n for n, _ in keys]
-    # records are parsed as they stream in, so no table of strings is held
-    lines, levels, values = array("q"), array("q"), array("d")
-    with _csv_records(path) as (header, records):
-        try:
-            cols = [header.index(n) for n in names]
-            val_col = header.index(value_name)
-        except ValueError as exc:
-            raise InputError(
-                f"{path}:1: header must contain {names + [value_name]}: {exc}") from exc
-        for lineno, rec in records:
-            try:
-                levels.extend([int(rec[c]) for c in cols])
-                values.append(float(rec[val_col]))
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-            lines.append(lineno)
-    if not lines:
+    header = read_csv_header(path, InputError)
+    try:
+        cols = [header.index(n) for n in names]
+        val_col = header.index(value_name)
+    except ValueError as exc:
+        raise InputError(
+            f"{path}:1: header must contain {names + [value_name]}: {exc}") from exc
+    key_cols, (values,) = read_csv_columns(path, InputError, cols, [val_col])
+    if not len(values):
         raise InputError(f"{path}: no data rows")
-    levels = np.frombuffer(levels, dtype=np.int64).reshape(len(lines), len(keys))
-    values = np.frombuffer(values)
-    flat = np.zeros(len(lines), dtype=np.int64)
+    levels = np.column_stack(key_cols)
+    flat = np.zeros(len(values), dtype=np.int64)
     for k, (name, m) in enumerate(keys):
         outside = np.flatnonzero((levels[:, k] < base) | (levels[:, k] >= base + m))
         if outside.size:
             i = outside[0]
-            raise InputError(f"{path}:{lines[i]}: {name} level {levels[i, k]} "
-                             f"out of range {base}..{base + m - 1}")
+            raise InputError(f"{path}:{record_line(path, i)}: {name} level "
+                             f"{levels[i, k]} out of range {base}..{base + m - 1}")
         flat = flat * m + (levels[:, k] - base)
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         i = repeats.min()
         first = np.flatnonzero(flat == flat[i])[0]
-        raise InputError(
-            f"{path}:{lines[i]}: {_key_text(names, levels[i])} repeats line {lines[first]}")
+        raise InputError(f"{path}:{record_line(path, i)}: {_key_text(names, levels[i])} "
+                         f"repeats line {record_line(path, first)}")
     bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
     if bad.size:
         i = bad[0]
-        raise InputError(
-            f"{path}:{lines[i]}: {value_name} {values[i]} must be finite and non-negative")
+        raise InputError(f"{path}:{record_line(path, i)}: {value_name} {values[i]} "
+                         "must be finite and non-negative")
     return levels, values, flat
 
 
@@ -160,8 +120,8 @@ def _read_margin_csv(path, schema: TableSchema) -> tuple[tuple[int, ...], np.nda
     Returns the subset, its targets over its cells in row-major order, and
     their total summed in file order.
     """
-    with _csv_records(path) as (header, _):  # the header names the subset
-        subset_names = [h for h in header if h != "target"]
+    header = read_csv_header(path, InputError)  # the header names the subset
+    subset_names = [h for h in header if h != "target"]
     index = {n: k for k, (n, _) in enumerate(schema.factors)}
     if "target" not in header:
         raise InputError(f"{path}:1: header needs a 'target' column")
@@ -179,14 +139,16 @@ def _read_margin_csv(path, schema: TableSchema) -> tuple[tuple[int, ...], np.nda
 
 
 def _write_trace_csv(path, res: FitResult) -> None:
-    have_est = res.trace.records[0].est_error is not None
-    cols = ["iteration", "time_s", "objective", "rel_gradient"]
-    if have_est:
-        cols.append("est_error")
-    write_csv(path, cols, (
-        [r.iteration, fmt(r.work_seconds), fmt(r.objective), fmt(r.rel_gradient),
-         *([fmt(r.est_error)] if have_est else [])]
-        for r in res.trace.records))
+    records = res.trace.records
+    columns = {
+        "iteration": np.array([r.iteration for r in records], dtype=np.int64),
+        "time_s": np.array([r.work_seconds for r in records], dtype=np.float64),
+        "objective": np.array([r.objective for r in records], dtype=np.float64),
+        "rel_gradient": np.array([r.rel_gradient for r in records], dtype=np.float64),
+    }
+    if records[0].est_error is not None:
+        columns["est_error"] = np.array([r.est_error for r in records], dtype=np.float64)
+    write_csv(path, list(columns), list(columns.values()))
 
 
 def _write_summary(path, res: FitResult, inst: ProblemInstance, extra: dict | None = None) -> None:
@@ -292,9 +254,9 @@ def cmd_fit(args) -> int:
     res = solve(inst, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv(os.path.join(args.out_dir, "beta.csv"), ["column_label", "estimate"],
-              zip(inst.design.column_labels, map(fmt, res.beta)))
-    write_csv(os.path.join(args.out_dir, "mu.csv"), ["row", "mu"],
-              enumerate(map(fmt, inst.expand_mu(res.mu))))
+              [inst.design.column_labels, res.beta])
+    mu = inst.expand_mu(res.mu)
+    write_csv(os.path.join(args.out_dir, "mu.csv"), ["row", "mu"], [np.arange(len(mu)), mu])
     _write_trace_csv(os.path.join(args.out_dir, "trace.csv"), res)
     _write_summary(os.path.join(args.out_dir, "summary.json"), res, inst,
                    extra={"dropped_columns": dropped} if dropped else None)
@@ -329,8 +291,11 @@ def cmd_rake(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     adjusted = np.zeros(schema.n_cells)
     adjusted[positive] = res.mu
+    # each level column indexes its factor's level names: no int is formatted per cell
+    levels = [([str(v) for v in range(1, m + 1)], grid - 1)
+              for (_, m), grid in zip(schema.factors, schema.level_grid())]
     write_csv(os.path.join(args.out_dir, "adjusted.csv"), [n for n, _ in schema.factors] + ["value"],
-              zip(*schema.level_grid(), map(fmt, adjusted)))
+              [*levels, adjusted])
 
     worst = 0.0
     worst_label = ""
@@ -344,9 +309,11 @@ def cmd_rake(args) -> int:
             rel = 0.0 if fitted == 0.0 else np.inf
         if rel > worst:
             worst, worst_label = rel, X.column_labels[j]
-        residuals.append([X.column_labels[j], fmt(target), fmt(fitted), fmt(rel)])
+        residuals.append([fitted, rel])
+    fitted, rel = np.array(residuals, dtype=np.float64).T
     write_csv(os.path.join(args.out_dir, "residuals.csv"),
-              ["column_label", "target", "fitted", "rel_residual"], residuals)
+              ["column_label", "target", "fitted", "rel_residual"],
+              [X.column_labels[1:], s[1:], fitted, rel])
     matched = bool(worst <= 1e-8)
     _write_summary(os.path.join(args.out_dir, "summary.json"), res, inst,
                    extra={"margins_matched": matched, "worst_rel_residual": worst,
@@ -364,14 +331,18 @@ def cmd_path(args) -> int:
                              gamma=args.gamma, eps_tol=args.eps_tol,
                              max_iters=args.max_iters, t_max_secs=args.t_max)
     os.makedirs(args.out_dir, exist_ok=True)
+    pts = result.points
     write_csv(os.path.join(args.out_dir, "path.csv"),
               ["lambda", "support_size", "deviance", "ebic"],
-              ([fmt(pt.lam), pt.support_size, fmt(pt.deviance), fmt(pt.ebic)]
-               for pt in result.points))
+              [np.array([pt.lam for pt in pts], dtype=np.float64),
+               np.array([pt.support_size for pt in pts], dtype=np.int64),
+               np.array([pt.deviance for pt in pts], dtype=np.float64),
+               np.array([pt.ebic for pt in pts], dtype=np.float64)])
     sel = result.selected
+    chosen = np.flatnonzero(sel.beta != 0.0)
     write_csv(os.path.join(args.out_dir, "selected.csv"), ["lambda", "column_label", "estimate"],
-              ([fmt(sel.lam), lab, fmt(b)]
-               for lab, b in zip(inst.design.column_labels, sel.beta) if b != 0.0))
+              [np.full(len(chosen), sel.lam), [inst.design.column_labels[j] for j in chosen],
+               sel.beta[chosen]])
     write_json(os.path.join(args.out_dir, "summary.json"),
                {"schema": 1, "selected_lambda": sel.lam, "selected_support_size": sel.support_size,
                 "selected_ebic": sel.ebic, "grid_size": len(result.points)})

@@ -27,17 +27,16 @@ the raking design differ only in their cells, terms and first level.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._io import fmt, read_json, write_csv, write_json
+from ._io import (
+    fmt, read_csv_columns, read_csv_header, read_json, record_line, write_csv, write_json)
 
 # Hard cap on table size so N = prod(levels) blow-ups fail loudly instead of
 # exhausting memory during construction.
@@ -629,8 +628,11 @@ def write_triplet_csv(X: DesignMatrix, path) -> None:
     """Sparse triplet export: header ``row,col,value``, 0-based indices."""
     coo = sp.coo_array(X.matrix)
     order = np.lexsort((coo.col, coo.row))
+    # columns and values repeat, so each distinct one is formatted once
+    values, value_codes = np.unique(coo.data[order], return_inverse=True)
     write_csv(path, ["row", "col", "value"],
-              zip(coo.row[order], coo.col[order], map(fmt, coo.data[order])))
+              [coo.row[order], ([str(j) for j in range(X.n_cols)], coo.col[order]),
+               ([fmt(v) for v in values], value_codes)])
 
 
 def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatrix:
@@ -638,41 +640,56 @@ def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatri
 
     The entries go into a sparse array, and zero values are dropped; only a
     design that is not binary is then densified, since dense is its storage.
-    A (row, col) pair given twice is an error.
+    Indices must be in range, values finite, and every row and column must
+    have an entry; a (row, col) pair given twice is an error.  All of this
+    is checked before anything of the design's size is allocated.
     """
-    rows, cols, vals = array("q"), array("q"), array("d")
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:3]] != ["row", "col", "value"]:
-                raise DesignError(f"{path}: expected header 'row,col,value'")
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                try:
-                    i, j, v = int(rec[0]), int(rec[1]), float(rec[2])
-                except (ValueError, IndexError) as exc:
-                    raise DesignError(f"{path}:{lineno}: bad triplet record: {exc}") from exc
-                if i < 0 or j < 0 or (n_rows is not None and i >= n_rows) \
-                        or (n_cols is not None and j >= n_cols):
-                    raise DesignError(f"{path}:{lineno}: index ({i}, {j}) out of range")
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DesignError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    header = read_csv_header(path, DesignError)
+    if [h.lower() for h in header[:3]] != ["row", "col", "value"]:
+        raise DesignError(f"{path}: expected header 'row,col,value'")
+    (rows, cols), (vals,) = read_csv_columns(path, DesignError, [0, 1], [2], "triplet record")
+    if not len(rows):
         raise DesignError(f"{path}: no entries")
-    rows, cols, vals = (np.frombuffer(a, dtype=a.typecode) for a in (rows, cols, vals))
+
+    def fail(i, message):
+        raise DesignError(f"{path}:{record_line(path, i)}: {message}")
+
+    outside = (rows < 0) | (cols < 0)
+    if n_rows is not None:
+        outside |= rows >= n_rows
+    if n_cols is not None:
+        outside |= cols >= n_cols
+    if outside.any():
+        i = np.argmax(outside)
+        fail(i, f"index ({rows[i]}, {cols[i]}) out of range")
+    if not np.all(np.isfinite(vals)):
+        i = np.argmax(~np.isfinite(vals))
+        fail(i, f"value {vals[i]} must be finite")
     n = n_rows if n_rows is not None else int(rows.max()) + 1
     p = n_cols if n_cols is not None else int(cols.max()) + 1
+    for name, index, size in (("row", rows, n), ("column", cols, p)):
+        gap = _first_gap(index, size)
+        if gap is not None:
+            raise DesignError(f"{path}: {name} {gap} has no entry")
+    # no gaps, so n and p are at most the entry count and the keys fit in int64
     key = rows * p + cols
     order = np.argsort(key, kind="stable")
     repeats = np.nonzero(key[order[1:]] == key[order[:-1]])[0]
     if len(repeats):
         k = order[repeats[0] + 1]
-        raise DesignError(f"{path}: entry ({rows[k]}, {cols[k]}) is given more than once")
+        fail(k, f"entry ({rows[k]}, {cols[k]}) is given more than once")
     nonzero = vals != 0.0
     coo = sp.coo_array((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=(n, p))
     return DesignMatrix._from_matrix(coo, labels)
+
+
+def _first_gap(index: np.ndarray, size: int):
+    """The least of 0 .. size-1 missing from a non-negative ``index``, or
+    None.  Allocates nothing larger than ``index``: a larger ``size`` must
+    leave a gap, which a sort of ``index`` then finds."""
+    if size <= len(index):
+        missing = np.flatnonzero(np.bincount(index, minlength=size) == 0)
+        return int(missing[0]) if len(missing) else None
+    present = np.unique(index)
+    beyond = np.flatnonzero(present != np.arange(len(present)))
+    return int(beyond[0]) if len(beyond) else len(present)

@@ -271,18 +271,23 @@ class ExperimentReport:
         for solver, curve in self.curves.items():
             path = os.path.join(out_dir, f"trace_{solver.replace('-', '_')}.csv")
             cols = [c for c in ("time_s", "rel_grad", "est_err") if curve[c] is not None]
-            write_csv(path, cols, zip(*(map(fmt, curve[c]) for c in cols)))
+            write_csv(path, cols, [np.asarray(curve[c], dtype=np.float64) for c in cols])
             written.append(path)
         # summary.csv carries only seed-reproducible quantities; measured wall
         # times go to a json sidecar that is not byte-stable across runs
         spath = os.path.join(out_dir, "summary.csv")
-        rows = [[sm.solver, sm.n_ok, sm.n_failed, fmt(sm.mean_final_rel_grad),
-                 "" if sm.mean_final_est_err is None else fmt(sm.mean_final_est_err),
-                 fmt(sm.mean_work_seconds),
-                 ";".join(f"{k}:{v}" for k, v in sorted(sm.terminations.items()))]
-                for sm in self.summaries]
+        sms = self.summaries
         write_csv(spath, ["solver", "n_ok", "n_failed", "mean_final_rel_grad",
-                          "mean_final_est_err", "mean_work_seconds", "terminations"], rows)
+                          "mean_final_est_err", "mean_work_seconds", "terminations"],
+                  [[sm.solver for sm in sms],
+                   np.array([sm.n_ok for sm in sms], dtype=np.int64),
+                   np.array([sm.n_failed for sm in sms], dtype=np.int64),
+                   np.array([sm.mean_final_rel_grad for sm in sms], dtype=np.float64),
+                   ["" if sm.mean_final_est_err is None else fmt(sm.mean_final_est_err)
+                    for sm in sms],
+                   np.array([sm.mean_work_seconds for sm in sms], dtype=np.float64),
+                   [";".join(f"{k}:{v}" for k, v in sorted(sm.terminations.items()))
+                    for sm in sms]])
         written.append(spath)
         wpath = os.path.join(out_dir, "wall_times.json")
         write_json(wpath, {sm.solver: sm.mean_wall_seconds for sm in self.summaries})
@@ -468,12 +473,12 @@ def export_instance(inst: ProblemInstance, out_dir: str, name: str = "instance")
     written.append(dpath)
     if inst.counts is not None:
         cpath = os.path.join(out_dir, f"{name}_counts.csv")
-        write_csv(cpath, ["row", "count"], enumerate(map(fmt, inst.counts)))
+        write_csv(cpath, ["row", "count"], [np.arange(len(inst.counts)), inst.counts])
         written.append(cpath)
     if inst.beta_true is not None:
         bpath = os.path.join(out_dir, f"{name}_beta_true.csv")
         write_csv(bpath, ["column_label", "value"],
-                  zip(inst.design.column_labels, map(fmt, inst.beta_true)))
+                  [inst.design.column_labels, np.asarray(inst.beta_true, dtype=np.float64)])
         written.append(bpath)
     mpath = os.path.join(out_dir, f"{name}_meta.json")
     write_json(mpath, {"schema": 1, "n_rows": inst.n_rows, "n_cols": inst.n_cols,

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import model as mdl
 from .design import KIND_BINARY, KIND_GENERAL, _dense
@@ -999,6 +998,8 @@ def _cholesky(H: np.ndarray):
     arithmetic can factor with a last pivot that rounding left positive.
     Returns (factor, repaired); the factor is None when every try failed.
     """
+    import scipy.linalg  # imported here: commands that never factor skip its import
+
     p = H.shape[0]
     base = float(np.trace(H)) / p if p else 1.0
     if not np.isfinite(base) or base <= 0.0:
@@ -1026,6 +1027,8 @@ def _armijo(g: np.ndarray, H: np.ndarray, f: float, trial, halvings: int):
     gives a finite objective at most f + 1e-4 t g^T d.  Returns
     (t, d, objective, state), or None when none of ``halvings`` tries passes.
     """
+    import scipy.linalg
+
     cf, _ = _cholesky(H)
     if cf is None:
         step = np.linalg.lstsq(H, g, rcond=None)[0]
@@ -1084,6 +1087,8 @@ class _WOperator:
             raise SolverError("curvature bound matrix could not be factorized")
 
     def solve(self, g: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         if self.scalar is not None:
             return g / self.scalar
         return scipy.linalg.cho_solve(self.cf, g, check_finite=False)
