@@ -129,6 +129,18 @@ def _plain_number(text: str, kind):
     return kind(text)
 
 
+def _records(fh):
+    """(line, fields) of every non-empty record after the header, ``line``
+    being the line the record starts on: a quoted field may span lines."""
+    reader = csv.reader(fh)
+    next(reader, None)
+    start = reader.line_num + 1
+    for rec in reader:
+        if rec:
+            yield start, rec
+        start = reader.line_num + 1
+
+
 def _first_bad_record(path, int_cols, float_cols):
     """(line, reason) of the first record whose fields do not parse, or None.
 
@@ -136,11 +148,7 @@ def _first_bad_record(path, int_cols, float_cols):
     the file, to name the line, and it returns no data.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
+        for lineno, rec in _records(fh):
             try:
                 for c in int_cols:
                     _plain_int(rec[c])
@@ -152,16 +160,15 @@ def _first_bad_record(path, int_cols, float_cols):
 
 
 def record_line(path, record: int) -> int:
-    """The line of a record, numbered as :func:`read_csv_columns` numbers
-    them: record 0 is the first non-empty record after the header.
+    """The line a record starts on, the records counted as
+    :func:`read_csv_columns` counts them: record 0 is the first non-empty
+    record after the header.
 
     A locator, not a parser: it runs only after a check has rejected the
     record, to name its line, and it returns no data.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        records = (lineno for lineno, rec in enumerate(csv.reader(fh), start=1)
-                   if rec and lineno > 1)
-        return next(itertools.islice(records, int(record), None))
+        return next(itertools.islice(_records(fh), int(record), None))[0]
 
 
 # -- writing ------------------------------------------------------------------

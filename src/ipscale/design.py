@@ -343,9 +343,6 @@ class DesignMatrix:
         """Column subset, in the design's storage."""
         return _c_contiguous(self.matrix[:, np.asarray(cols, dtype=np.int64)])
 
-    def submatrix_dense(self, cols) -> np.ndarray:
-        return _dense(self.submatrix(cols))
-
     def column_block(self, cols) -> "ColumnBlock":
         """Column subset as an operator for repeated products and Grams."""
         return ColumnBlock(self.submatrix(cols))

@@ -246,10 +246,9 @@ def reparam_hessian(inst: ProblemInstance, slope: np.ndarray, cols=None) -> np.n
     w, _ = _offset_softmax(inst, inst.design.slope_matvec(slope))
     if cols is None:
         cols = np.arange(inst.n_cols - 1)
-    Xk = inst.design.submatrix_dense(np.asarray(cols) + 1)
-    u = Xk.T @ w
-    A = Xk.T @ (w[:, None] * Xk)
-    return inst.total_count * (A - np.outer(u, u))
+    Xk = inst.design.column_block(np.asarray(cols) + 1)
+    u = Xk.rmatvec(w)
+    return inst.total_count * (Xk.gram(w) - np.outer(u, u))
 
 
 # -- goodness of fit ----------------------------------------------------------
@@ -289,13 +288,12 @@ def bohning_bound(inst: ProblemInstance) -> np.ndarray:
 def spectral_bound(inst: ProblemInstance) -> float:
     """Scalar w with W = w I, w = <1,n> ||Xs||_2^2 / 2."""
     _require_intercept(inst)
-    n, p1 = inst.n_rows, inst.n_cols - 1
-    if n * p1 <= 4_000_000:
-        Xs = inst.design.submatrix_dense(np.arange(1, inst.n_cols))
-        smax = float(np.linalg.norm(Xs, 2))
+    p1 = inst.n_cols - 1
+    gram = inst.design.gram_slope()
+    if inst.n_rows * p1 <= 4_000_000:
+        lam = float(np.linalg.eigvalsh(gram)[-1])
     else:
         # power iteration on Xs^T Xs; deterministic start, small safety margin
-        gram = inst.design.gram_slope()
         v = np.ones(p1) / np.sqrt(p1)
         lam = 0.0
         for _ in range(500):
@@ -308,8 +306,8 @@ def spectral_bound(inst: ProblemInstance) -> float:
                 lam = lam_new
                 break
             lam = lam_new
-        smax = np.sqrt(lam) * (1.0 + 1e-9)
-    return 0.5 * inst.total_count * smax**2
+        lam *= (1.0 + 1e-9) ** 2
+    return 0.5 * inst.total_count * lam
 
 
 def validate_curvature_bound(inst: ProblemInstance, W, n_weights: int = 200,
@@ -322,7 +320,6 @@ def validate_curvature_bound(inst: ProblemInstance, W, n_weights: int = 200,
     _require_intercept(inst)
     rng = philox_rng(seed)
     p1 = inst.n_cols - 1
-    Xs = inst.design.submatrix(np.arange(1, inst.n_cols))
     total = inst.total_count
     W = np.asarray(W, dtype=np.float64) if np.ndim(W) == 2 else float(W) * np.eye(p1)
     worst = np.inf
@@ -331,7 +328,7 @@ def validate_curvature_bound(inst: ProblemInstance, W, n_weights: int = 200,
         w = mu / mu.sum()
         for _ in range(n_vectors):
             v = rng.standard_normal(p1)
-            z = Xs @ v
+            z = inst.design.slope_matvec(v)
             hq = total * (float(w @ z**2) - float(w @ z) ** 2)
             wq = float(v @ (W @ v))
             worst = min(worst, (wq - hq) / float(v @ v))

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as mdl
-from .design import KIND_BINARY, KIND_GENERAL, _dense
+from .design import KIND_BINARY, KIND_GENERAL
 from .model import BETA_CLAMP, Coefficients, ProblemInstance, philox_rng
 
 TOL_REACHED = "tol_reached"
@@ -709,12 +709,11 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
     rowsum = X.abs_row_sums()
     delta = np.zeros(X.n_cols)
     for cols in blocks:
-        Xk = X.submatrix(cols)
-        rows_k = Xk.sum(axis=1)
-        active = rows_k > 0.0
-        r = np.zeros(X.n_rows)
-        r[active] = rowsum[active] / rows_k[active]
-        d, ok = _surrogate_block_newton(Xk, inst.suff_stats[cols], c.mu, r, active)
+        Xk = X.column_block(cols)
+        rows_k = Xk.matvec(np.ones(len(cols)))
+        # a row with no entry in the block never moves, so its weight is immaterial
+        r = np.divide(rowsum, rows_k, out=np.ones(X.n_rows), where=rows_k > 0.0)
+        d, ok = _surrogate_block_newton(Xk, inst.suff_stats[cols], c.mu, r)
         if not ok and flags is not None:
             flags["block_step_failures"] = flags.get("block_step_failures", 0) + 1
         delta[cols] = d
@@ -722,33 +721,30 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
     return c
 
 
-def _surrogate_block_newton(Xk, sk, mu, r, active):
-    """Minimize -sk^T d + sum_i (mu_i / r_i) exp(r_i (Xk d)_i) over rows with
-    block mass; returns (d, healthy)."""
+def _surrogate_block_newton(Xk, sk, mu, r):
+    """Minimize -sk^T d + sum_i (mu_i / r_i) exp(r_i (Xk d)_i) over the
+    block's :class:`~ipscale.design.ColumnBlock` ``Xk``; returns (d, healthy)."""
     g = len(sk)
-    dense = _dense(Xk[np.nonzero(active)[0], :])
-    mua = mu[active]
-    ra = r[active]
-    base = mua / ra
+    base = mu / r
     d = np.zeros(g)
-    z = np.zeros(len(mua))
+    z = np.zeros(len(mu))
     f = float(base.sum())
     f0 = f
     scale = INNER_TOL * (1.0 + float(np.abs(sk).max(initial=0.0)) + f0)
 
     def trial(t, direction):
-        z_try = z + t * (dense @ direction)
+        z_try = z + t * Xk.matvec(direction)
         with np.errstate(over="ignore"):
-            return -float(sk @ (d + t * direction)) + float((base * np.exp(ra * z_try)).sum()), z_try
+            return -float(sk @ (d + t * direction)) + float((base * np.exp(r * z_try)).sum()), z_try
 
     converged = False
     for _ in range(INNER_MAX_ITERS):
-        w = mua * np.exp(ra * z)
-        gk = -sk + dense.T @ w
+        w = mu * np.exp(r * z)
+        gk = -sk + Xk.rmatvec(w)
         if float(np.max(np.abs(gk))) <= scale:
             converged = True
             break
-        H = dense.T @ ((w * ra)[:, None] * dense)
+        H = Xk.gram(w * r)
         step = _armijo(gk, H, f, trial, 30)
         if step is None:
             break
@@ -762,7 +758,7 @@ def _surrogate_block_newton(Xk, sk, mu, r, active):
     # fallback mandated for a stalled subproblem: halve, retry once, then flag
     d_half = 0.5 * d
     with np.errstate(over="ignore"):
-        f_half = -float(sk @ d_half) + float((base * np.exp(ra * (dense @ d_half))).sum())
+        f_half = -float(sk @ d_half) + float((base * np.exp(r * Xk.matvec(d_half))).sum())
     if np.isfinite(f_half) and f_half <= f0:
         return d_half, True
     return np.zeros(g), False

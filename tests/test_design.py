@@ -468,14 +468,12 @@ class TestDesignContract:
             "weighted_gram": (design.weighted_gram(w), A.T @ (w[:, None] * A)),
             "gram_slope": (design.gram_slope(), A[:, 1:].T @ A[:, 1:]),
             "submatrix": (design.submatrix(cols), A[:, cols]),
-            "submatrix_dense": (design.submatrix_dense(cols), A[:, cols]),
             "pos_part": (design.pos_neg_parts()[0], np.maximum(A, 0.0)),
             "neg_part": (design.pos_neg_parts()[1], np.maximum(-A, 0.0)),
             "col_dot": ([design.col_dot(j, v) for j in range(p)], A.T @ v),
         }
         bad = [name for name, (got, want) in checks.items() if not _close(got, want)]
         assert bad == []
-        assert isinstance(design.submatrix_dense(cols), np.ndarray)
         assert design.has_intercept
         for j, (rows, vals) in enumerate(design.columns()):
             assert np.array_equal(rows, np.nonzero(A[:, j])[0])

@@ -139,11 +139,36 @@ def test_bad_record_after_empty_lines_names_its_line(tmp_path):
 
 
 def test_check_after_quoted_header_names_its_line(tmp_path):
-    # the header spans two lines, and a line is a record's count from the header's
+    # the header spans lines 1-2, so the records start on lines 3 and 5
     path = tmp_path / "n.csv"
     path.write_text('row,count,"note\nmore"\n0,3\n\n0,4\n')
+    with pytest.raises(InputError, match=r"n\.csv:5: row=0 repeats line 3"):
+        _read_keyed(path)
+
+
+# A record whose quoted third field spans lines 2-3, then a record on line 4.
+MULTILINE_KEYED = 'row,count,note\n0,3,"a\nb"\n{}\n'
+MULTILINE_TRIPLET = 'row,col,value,note\n0,0,1,"a\nb"\n{}\n'
+
+
+def test_keyed_lines_count_the_lines_of_a_quoted_field(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text(MULTILINE_KEYED.format("1,x,c"))
+    with pytest.raises(InputError, match=_bad_line(path, 4)):
+        _read_keyed(path)
+    path.write_text(MULTILINE_KEYED.format("0,4,c"))
     with pytest.raises(InputError, match=r"n\.csv:4: row=0 repeats line 2"):
         _read_keyed(path)
+
+
+def test_triplet_lines_count_the_lines_of_a_quoted_field(tmp_path):
+    path = tmp_path / "design.csv"
+    path.write_text(MULTILINE_TRIPLET.format("1,x,1,c"))
+    with pytest.raises(DesignError, match=_bad_line(path, 4)):
+        read_triplet_csv(path)
+    path.write_text(MULTILINE_TRIPLET.format("0,0,1,c"))
+    with pytest.raises(DesignError, match=r"design\.csv:4: entry \(0, 0\) is given more than once"):
+        read_triplet_csv(path)
 
 
 # -- triplet indices --------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ipscale import model as mdl
-from ipscale.design import DesignMatrix
+from ipscale.design import DesignMatrix, TableSchema, build_table_design
 from ipscale.model import Coefficients, ModelError, ProblemInstance
 
 from conftest import make_rng, random_binary_instance, random_general_instance, table_instance_2x2
@@ -252,6 +252,34 @@ class TestCurvatureBounds:
             H = mdl.reparam_hessian(inst, slope, cols=cols)
             vals = np.linalg.eigvalsh(H)
             assert vals.min() >= -1e-9 * max(1.0, vals.max())
+
+
+    def test_block_hessian_matches_dense_formula(self):
+        table = TableSchema(factors=(("a", 3), ("b", 4), ("c", 2)), interaction_order=2)
+        rng = make_rng(27)
+        binary = ProblemInstance.from_counts(
+            build_table_design(table), rng.poisson(5.0, size=table.n_cells) + 1.0)
+        for inst in (binary, random_general_instance(27, n_rows=25, n_cols=6)):
+            assert inst.design.kind in ("binary", "general")
+            p1 = inst.n_cols - 1
+            slope = rng.normal(0.0, 0.5, size=p1)
+            cols = rng.choice(p1, size=4, replace=False)
+            Xk = inst.design.toarray()[:, cols + 1]
+            w = np.exp(inst.design.slope_matvec(slope))
+            w /= w.sum()
+            u = Xk.T @ w
+            want = inst.total_count * (Xk.T @ (w[:, None] * Xk) - np.outer(u, u))
+            got = mdl.reparam_hessian(inst, slope, cols=cols)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), inst.design.kind
+
+    def test_spectral_matches_dense_norm(self):
+        table = TableSchema(factors=(("a", 3), ("b", 4), ("c", 2)), interaction_order=2)
+        binary = ProblemInstance.from_counts(
+            build_table_design(table), make_rng(28).poisson(5.0, size=table.n_cells) + 1.0)
+        for inst in (binary, random_general_instance(28, n_rows=30, n_cols=6)):
+            Xs = inst.design.toarray()[:, 1:]
+            want = 0.5 * inst.total_count * float(np.linalg.norm(Xs, 2)) ** 2
+            assert mdl.spectral_bound(inst) == pytest.approx(want, rel=1e-12), inst.design.kind
 
 
 class TestInstanceConstruction:

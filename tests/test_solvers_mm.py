@@ -132,20 +132,21 @@ class TestGeneralDesignStep:
 
 class TestParallelBlocks:
     def test_singleton_blocks_solve_per_coordinate_equations(self):
-        inst = random_nonneg_instance(34, n_rows=25, n_cols=5)
-        rowsum = inst.design.abs_row_sums()
-        c0 = Coefficients.from_beta(inst, np.zeros(5))
-        blocks = [np.array([j]) for j in range(5)]
-        stepped = mm_parallel_step(inst, Coefficients(c0.beta.copy(), c0.mu.copy()), blocks)
-        X = inst.design.toarray()
-        for j in range(5):
-            s_j = inst.suff_stats[j]
+        for make in (random_nonneg_instance, random_binary_instance):
+            inst = make(34, n_rows=25, n_cols=5)
+            rowsum = inst.design.abs_row_sums()
+            c0 = Coefficients.from_beta(inst, np.zeros(5))
+            blocks = [np.array([j]) for j in range(5)]
+            stepped = mm_parallel_step(inst, Coefficients(c0.beta.copy(), c0.mu.copy()), blocks)
+            X = inst.design.toarray()
+            for j in range(5):
+                s_j = inst.suff_stats[j]
 
-            def eq(d):
-                return float((X[:, j] * c0.mu * np.exp(rowsum * d)).sum()) - s_j
+                def eq(d):
+                    return float((X[:, j] * c0.mu * np.exp(rowsum * d)).sum()) - s_j
 
-            root = brentq(eq, -40, 40, xtol=1e-13)
-            assert stepped.beta[j] == pytest.approx(root, abs=1e-8)
+                root = brentq(eq, -40, 40, xtol=1e-13)
+                assert stepped.beta[j] == pytest.approx(root, abs=1e-8), (inst.design.kind, j)
 
     def test_whole_vector_block_identity_design_one_step(self):
         n = np.array([2.0, 5.0, 1.0, 3.0])
