@@ -297,23 +297,16 @@ def cmd_rake(args) -> int:
     write_csv(os.path.join(args.out_dir, "adjusted.csv"), [n for n, _ in schema.factors] + ["value"],
               [*levels, adjusted])
 
-    worst = 0.0
-    worst_label = ""
-    residuals = []
-    for j in range(1, X.n_cols):
-        fitted = inst.design.col_dot(j, res.mu)
-        target = s[j]
-        if target > 0:
-            rel = abs(fitted - target) / target
-        else:
-            rel = 0.0 if fitted == 0.0 else np.inf
-        if rel > worst:
-            worst, worst_label = rel, X.column_labels[j]
-        residuals.append([fitted, rel])
-    fitted, rel = np.array(residuals, dtype=np.float64).T
+    fitted, target = inst.design.rmatvec(res.mu)[1:], s[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(target > 0, np.abs(fitted - target) / target,
+                       np.where(fitted == 0.0, 0.0, np.inf))
+    k = int(np.argmax(rel))  # the first largest residual, or the first nan
+    worst = float(rel[k])
+    worst_label = X.column_labels[k + 1] if worst != 0.0 else ""
     write_csv(os.path.join(args.out_dir, "residuals.csv"),
               ["column_label", "target", "fitted", "rel_residual"],
-              [X.column_labels[1:], s[1:], fitted, rel])
+              [X.column_labels[1:], target, fitted, rel])
     matched = bool(worst <= 1e-8)
     _write_summary(os.path.join(args.out_dir, "summary.json"), res, inst,
                    extra={"margins_matched": matched, "worst_rel_residual": worst,

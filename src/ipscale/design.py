@@ -387,17 +387,17 @@ def gram(A, w: np.ndarray | None = None) -> np.ndarray:
 
 class ColumnBlock:
     """A column block of a design, in its storage, built once and then used
-    for several products: b-ips takes a few Newton steps on every block.
+    for several products: b-ips takes a few Newton steps on every block it
+    visits, and mm-parallel keeps its blocks for the whole fit.
 
-    On a binary block, ``gram(w)`` reads a pair index built at its first
-    call (a block whose first gradient check already passes needs none): the
-    row and the position ``j * g + k`` of every pair of entries j < k in one
-    row, rows ascending.  One ``np.bincount`` of ``w`` over it gives the upper
-    triangle and ``rmatvec(w)`` the diagonal.  Each entry then sums its rows
-    in ascending order, as the sparse matmat of :func:`gram` does, so both
-    give the same bits.  When the index would hold more pairs than the
-    densified block has entries (N * g), and on dense blocks, ``gram`` is
-    :func:`gram`.
+    On a sparse block, which is binary, ``gram(w)`` is one sparse product:
+    the block's transpose times a row-major copy of the block whose stored
+    values are scaled by ``w``, so each holds the weight of its row.  The
+    copy is made at the first Gram (a block whose first gradient check
+    already passes makes none) and rescaled in place by every later one.
+    Each entry sums its rows in ascending order, as the sparse product of
+    :func:`gram` does, so both give the same bits.  On a dense block
+    ``gram`` is :func:`gram`.
     """
 
     def __init__(self, matrix):
@@ -407,8 +407,10 @@ class ColumnBlock:
         self._transpose = matrix.T
 
     @cached_property
-    def _pairs(self):
-        return _pair_index(self.matrix) if sp.issparse(self.matrix) else None
+    def _row_major(self):
+        """(row-major copy, the row of each of its entries) of a sparse block."""
+        copy = self.matrix.tocsr()
+        return copy, np.repeat(np.arange(self.shape[0]), np.diff(copy.indptr))
 
     def matvec(self, d: np.ndarray) -> np.ndarray:
         return self.matrix @ d
@@ -418,35 +420,12 @@ class ColumnBlock:
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """Dense block^T diag(w) block."""
-        if self._pairs is None:
+        if not sp.issparse(self.matrix):
             return gram(self.matrix, w)
-        rows, keys = self._pairs
-        g = self.shape[1]
-        upper = np.bincount(keys, weights=w[rows], minlength=g * g).reshape(g, g)
-        # with no pairs at all, bincount returns integer zeros
-        upper = upper.astype(np.float64, copy=False)
-        out = upper + upper.T
-        out.flat[::g + 1] = self.rmatvec(w)
-        return out
-
-
-def _pair_index(A):
-    """(rows, keys) of the pairs of entries j < k in one row of a binary CSC
-    block, in row-major order, or None when there are more than N * g."""
-    n_rows, g = A.shape
-    R = A.tocsr()  # entries in row order, columns ascending within a row
-    counts = np.diff(R.indptr)
-    per_row = counts * (counts - 1) // 2
-    n_pairs = int(per_row.sum())
-    if n_pairs > n_rows * g:
-        return None
-    entry = np.arange(len(R.indices))
-    # entry e pairs with the `after[e]` entries that follow it in its row
-    after = np.repeat(R.indptr[1:], counts) - entry - 1
-    start = np.cumsum(after) - after
-    partner = np.arange(n_pairs) - np.repeat(start - entry - 1, after)
-    col = R.indices
-    return np.repeat(np.arange(n_rows), per_row), np.repeat(col * g, after) + col[partner]
+        copy, rows = self._row_major
+        # the rows are in range; "clip" skips the buffered copy of "raise"
+        np.take(w, rows, out=copy.data, mode="clip")
+        return (self._transpose @ copy).toarray()
 
 
 # -- contingency-table designs ---------------------------------------------

@@ -278,11 +278,17 @@ def pearson_x2(counts: np.ndarray, mu: np.ndarray) -> float:
 
 
 def bohning_bound(inst: ProblemInstance) -> np.ndarray:
-    """W = Xs^T (<1,n> I - 1 1^T) Xs / 2, a fixed curvature dominator."""
+    """W = <1,n> Xs^T (I - 1 1^T / N) Xs / 2, a fixed curvature dominator.
+
+    Bohning's lemma (1992), diag(w) - w w^T <= (I - 1 1^T / N) / 2 for every
+    probability vector w over the N rows, makes W dominate the profiled
+    curvature for every total count.  W is singular when the slope columns
+    span the constant vector, as in raking designs.
+    """
     _require_intercept(inst)
     gram = inst.design.gram_slope()
     u = inst.design.col_sums()[1:]
-    return 0.5 * (inst.total_count * gram - np.outer(u, u))
+    return 0.5 * inst.total_count * (gram - np.outer(u, u) / inst.n_rows)
 
 
 def spectral_bound(inst: ProblemInstance) -> float:

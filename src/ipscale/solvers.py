@@ -700,7 +700,9 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
 
     Every block minimizes its own term of the surrogate (independently,
     from the shared current mean) via damped Newton; the mean is then
-    rescaled once for the combined step.
+    rescaled once for the combined step.  ``blocks`` holds each block's
+    column indices with its :class:`~ipscale.design.ColumnBlock`, built
+    once per fit.
     """
     if inst.design.kind == KIND_GENERAL:
         raise SolverError("mm-parallel requires a non-negative design")
@@ -708,8 +710,7 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
     X = inst.design
     rowsum = X.abs_row_sums()
     delta = np.zeros(X.n_cols)
-    for cols in blocks:
-        Xk = X.column_block(cols)
+    for cols, Xk in blocks:
         rows_k = Xk.matvec(np.ones(len(cols)))
         # a row with no entry in the block never moves, so its weight is immaterial
         r = np.divide(rowsum, rows_k, out=np.ones(X.n_rows), where=rows_k > 0.0)
@@ -771,7 +772,8 @@ class _MMFamily(_RawState):
         super().__init__(inst, cfg, variant)
         X = inst.design
         if variant == "mm-parallel":
-            blocks = _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")
+            blocks = [(cols, X.column_block(cols))
+                      for cols in _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")]
             self.update = lambda: mm_parallel_step(
                 inst, self.c, blocks, divergent=self.divergent, flags=self.flags)
         else:
@@ -1052,21 +1054,14 @@ def _armijo(g: np.ndarray, H: np.ndarray, f: float, trial, halvings: int):
 class _WOperator:
     """Curvature-bound matrix with a reusable factorization (+ ridge repair).
 
-    The sharper fixed bound provably dominates the profiled curvature
-    whenever the total count is at least the number of rows; below that it
-    is checked by sampling and replaced by the spectral bound on failure.
+    Both bounds dominate the profiled curvature for every total count:
+    Bohning's matrix bound (``model.bohning_bound``, factored once, a ridge
+    added where it is singular) and the scalar spectral bound.
     """
 
     def __init__(self, inst: ProblemInstance, w_choice: str, lam: float):
         self.repaired = False
-        self.fell_back = False
         p1 = inst.n_cols - 1
-        if w_choice == "bohning" and inst.total_count < inst.n_rows:
-            worst = mdl.validate_curvature_bound(
-                inst, mdl.bohning_bound(inst), n_weights=50, n_vectors=10, seed=0)
-            if worst < -1e-9:
-                w_choice = "spectral"
-                self.fell_back = True
         if w_choice == "spectral":
             self.scalar = mdl.spectral_bound(inst) + lam
             self.matrix = None
@@ -1115,8 +1110,7 @@ class _QipsFamily(_ProfiledState):
         self.work += float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
         self.step_work = 2.0 * X.nnz + 6.0 * N \
             + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
-        self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired,
-                          w_fell_back_to_spectral=self.W.fell_back)
+        self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired)
 
     def objective(self) -> float:
         val = super().objective()
@@ -1204,9 +1198,10 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, tol, flags):
 
     Objective in the block step d:  -sk^T d + total * log <1, mu o exp(Xk d)>.
     ``Xk`` is the block's :class:`~ipscale.design.ColumnBlock`, built once
-    per visit and used for every Newton step.  The solve stops once the
+    per visit and used for every Newton step, each of which takes one Gram
+    of it (one sparse product on a binary design).  The solve stops once the
     block gradient is at most ``tol`` in max norm, so a block that already
-    meets it takes no step and builds no Gram.  Counts each Newton step in
+    meets it takes no step and no Gram.  Counts each Newton step in
     ``flags["newton_steps"]``; returns
     (d, mu_new, work, line_search_failed).
     """

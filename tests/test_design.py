@@ -552,24 +552,34 @@ class TestColumnBlock:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(b)))
         assert blk.shape == S.shape and blk.nnz == nnz(S)
-        per_row = np.diff(S.tocsr().indptr)
-        guarded = (per_row * (per_row - 1) // 2).sum() > S.shape[0] * S.shape[1]
-        assert (blk._pairs is None) == guarded
+        assert np.array_equal(got[0], want[0])
 
     def test_binary_edge_blocks(self):
-        # empty rows, a single column, a row holding every block column, and
-        # a full block whose pair count exceeds N * g, which falls back
+        # empty rows, a single column, a row holding every block column, a
+        # full block (its pairs of entries in one row outnumber its N * g
+        # cells), and a block with no two entries in one row
         arr = np.array([[1, 1, 0, 0, 0, 1],
                         [1, 0, 0, 0, 0, 1],
                         [1, 1, 1, 1, 1, 0],
                         [1, 0, 1, 0, 1, 1],
                         [1, 1, 1, 1, 1, 1]], dtype=float)
         X = DesignMatrix.from_dense(arr)
-        for cols, guarded in [([2, 3], False), ([4], False), ([4, 1, 2, 3], False),
-                              ([0], False), ([0, 1, 2, 3, 4, 5], True)]:
-            blk, _, got, want = _block_products(X, np.array(cols), 31)
-            assert (blk._pairs is None) == guarded
+        for cols in [[2, 3], [4], [4, 1, 2, 3], [0], [0, 1, 2, 3, 4, 5]]:
+            _, _, got, want = _block_products(X, np.array(cols), 31)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        X = DesignMatrix.from_dense(np.array([[1, 1, 0], [1, 0, 1], [1, 0, 0]], dtype=float))
+        _, _, got, want = _block_products(X, np.array([1, 2]), 32)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_later_grams_rescale_the_row_major_copy(self):
+        X = DesignMatrix.from_dense(np.array([[1, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=float))
+        blk, S = X.column_block([0, 1, 2]), X.submatrix([0, 1, 2])
+        assert "_row_major" not in blk.__dict__
+        rng = make_rng(33)
+        for _ in range(3):
+            w = rng.uniform(0.1, 3.0, size=3)
+            assert np.array_equal(blk.gram(w), gram(S, w))
+        assert "_row_major" in blk.__dict__
 
     @given(st.integers(1, 12), st.integers(2, 7), st.integers(0, 2**16), st.data())
     def test_dense_block_is_bitwise_today(self, n, p, seed, data):

@@ -136,7 +136,7 @@ class TestParallelBlocks:
             inst = make(34, n_rows=25, n_cols=5)
             rowsum = inst.design.abs_row_sums()
             c0 = Coefficients.from_beta(inst, np.zeros(5))
-            blocks = [np.array([j]) for j in range(5)]
+            blocks = [(np.array([j]), inst.design.column_block([j])) for j in range(5)]
             stepped = mm_parallel_step(inst, Coefficients(c0.beta.copy(), c0.mu.copy()), blocks)
             X = inst.design.toarray()
             for j in range(5):
@@ -152,7 +152,7 @@ class TestParallelBlocks:
         n = np.array([2.0, 5.0, 1.0, 3.0])
         inst = ProblemInstance.from_counts(DesignMatrix.from_dense(np.eye(4)), n)
         c = mm_parallel_step(inst, Coefficients.from_beta(inst, np.zeros(4)),
-                             [np.arange(4)])
+                             [(np.arange(4), inst.design.column_block(np.arange(4)))])
         assert np.allclose(c.mu, n, rtol=1e-12)
 
     def test_objective_non_increasing_across_fit(self):
@@ -177,6 +177,20 @@ class TestParallelBlocks:
         assert res.termination == "diverged"
         assert not res.converged
         assert res.flags["block_step_failures"] > 0
+
+    def test_each_block_built_once_per_fit(self, monkeypatch):
+        inst = random_binary_instance(38, n_rows=30, n_cols=6)
+        built, real = [], DesignMatrix.column_block
+
+        def column_block(self, cols):
+            built.append(tuple(cols))
+            return real(self, cols)
+
+        monkeypatch.setattr(DesignMatrix, "column_block", column_block)
+        res = mm_parallel_fit(inst, SolverConfig(variant="mm-parallel", eps_tol=1e-12,
+                                                 max_iters=5, block_sizes=(2, 3, 1)))
+        assert res.trace.final().iteration == 5
+        assert built == [(0, 1), (2, 3, 4), (5,)]
 
     def test_block_sizes_must_partition(self):
         inst = random_nonneg_instance(37, n_cols=5)

@@ -5,7 +5,7 @@ import pytest
 
 from ipscale import harness
 from ipscale import model as mdl
-from ipscale.design import DesignMatrix, TableSchema, build_table_design
+from ipscale.design import DesignMatrix, TableSchema, build_raking_design, build_table_design
 from ipscale.harness import ExperimentSpec
 from ipscale.model import ProblemInstance
 from ipscale.solvers import (
@@ -199,22 +199,35 @@ class TestMomentumSolver:
         assert np.array_equal(fam.z_eta, X.slope_matvec(fam.eta_aux))
         assert np.array_equal(fam.mu_ring, inst.offset * np.exp(fam.z_slope))
 
-    def test_sharp_bound_falls_back_when_counts_too_small(self):
-        # total count below the row count: the sharp fixed bound can fail to
-        # dominate, and the solver must switch to the spectral bound
+    def test_bohning_bound_dominates_when_counts_too_small(self):
+        # total count below the row count: the bound still dominates the
+        # profiled curvature, and q-ips converges under it
         X = DesignMatrix.from_dense(np.array(
             [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
         inst = ProblemInstance.from_counts(X, [1.0, 0.0, 0.0, 1.0])
+        assert inst.total_count < inst.n_rows
         W = mdl.bohning_bound(inst)
-        assert mdl.validate_curvature_bound(inst, W, 50, 10, 0) < -1e-9
+        assert mdl.validate_curvature_bound(inst, W, 50, 10, 0) >= -1e-12
         res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-6, max_iters=2000))
-        assert res.flags["w_fell_back_to_spectral"]
+        assert res.termination == "tol_reached"
+        assert res.trace.final().rel_gradient <= 1e-6
 
-    def test_sharp_bound_kept_for_count_rich_instances(self):
-        inst = random_general_instance(69, 25, 5)
-        assert inst.total_count >= inst.n_rows
-        res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-6))
-        assert not res.flags["w_fell_back_to_spectral"]
+    @pytest.mark.parametrize("margins", [[["a"]], [["a"], ["b"]]])
+    def test_singular_bohning_bound(self, margins):
+        # the indicators of a raking margin sum to the intercept column, so
+        # the bound is singular along that direction
+        schema = TableSchema(factors=(("a", 3), ("b", 4)))
+        inst = ProblemInstance.from_counts(build_raking_design(schema, margins),
+                                           make_rng(5).poisson(4.0, size=12) + 1.0)
+        assert inst.total_count > inst.n_rows
+        assert np.linalg.eigvalsh(mdl.bohning_bound(inst))[0] <= 1e-12 * inst.total_count
+        res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8))
+        assert res.termination == "tol_reached"
+        assert res.trace.final().rel_gradient <= 1e-8
+        if len(margins) == 2:
+            # the bound's factorization fails outright, and the ridge repairs it;
+            # with one margin its last pivot rounds to just above _cholesky's test
+            assert res.flags["w_ridge_repaired"]
 
 
 class TestBlockSolver:
@@ -341,14 +354,16 @@ class TestInnerStop:
         inst = table_instance_3x3x3()
         assert inst.design.kind == "binary"
         Xk, sk, mu_ring, gmax = self._block(inst, np.arange(1, 9))
+        grams, gram = [], Xk.gram
+        Xk.gram = lambda w: grams.append(w) or gram(w)
         flags = {"newton_steps": 0}
         d, mu_new, _, failed = _block_newton_profiled(
             Xk, sk, mu_ring, inst.total_count, gmax, flags)
         assert np.array_equal(d, np.zeros(8)) and not failed
         assert mu_new.tobytes() == mu_ring.tobytes()
         assert flags["newton_steps"] == 0
-        # the pair index of the block's Gram is never built
-        assert "_pairs" not in Xk.__dict__
+        # no Gram is taken, so the block's row-major copy is never made
+        assert grams == [] and "_row_major" not in Xk.__dict__
 
     def test_block_above_tol_steps_until_it_meets_it(self):
         inst = table_instance_3x3x3()
@@ -359,7 +374,7 @@ class TestInnerStop:
         gk = -sk + inst.total_count * (Xk.rmatvec(mu_new) / mu_new.sum())
         assert not failed and flags["newton_steps"] >= 1
         assert np.max(np.abs(gk)) <= 0.5 * gmax
-        assert "_pairs" in Xk.__dict__
+        assert "_row_major" in Xk.__dict__
 
     def _optimum(self, inst, block_sizes=None):
         """b-ips's own fixed point: eps_tol below the rounding floor of the
