@@ -10,14 +10,16 @@ only, so the output files do not depend on it.
 
 Fits each variant with a fixed seed on small harness instances (one of
 them the table model on a seeded subset of its cells, one a table whose
-terms have 8 and 64 columns), at record_every 1 and 5, and writes one text file per fit: the termination,
-the flags, the coefficients and every trace record except its wall
-seconds.  The table and general instances are fitted a second time on
-their design after a triplet CSV round trip (``write_triplet_csv`` to a
-temporary directory, then ``read_triplet_csv``), so the reader is covered
-too; a ``*-design.txt`` file records what the reader returned.  Floats
-are written with ``float.hex``, so two runs agree exactly when their files
-are byte-identical (``diff -r OLD NEW``).  A variant that rejects an
+terms have 8 and 64 columns, one the table model with sampling zeros that
+drive three coordinates to the clamp), at record_every 1 and 5, and
+writes one text file per fit: the termination, the flags, the
+coefficients and every trace record except its wall seconds.  The table
+and general instances are fitted a second time on their design after a
+triplet CSV round trip (``write_triplet_csv`` to a temporary directory,
+then ``read_triplet_csv``), so the reader is covered too; a
+``*-design.txt`` file records what the reader returned.  Floats are
+written with ``float.hex``, so two runs agree exactly when their files are
+byte-identical (``diff -r OLD NEW``).  A variant that rejects an
 instance writes the error message instead.
 
 It then runs the CLI on small seeded inputs that it writes itself: ``fit``
@@ -110,6 +112,19 @@ def _observed_cells(table):
     return ProblemInstance.from_counts(X, table.counts[cells])
 
 
+def _sampling_zeros(table):
+    """The 0.3-scale table model with the counts on the supports of columns
+    3, p-5 and p-1 set to 0: those coordinates have no finite optimum, so
+    the coordinate, surrogate and scaling variants pin them at the clamp."""
+    from ipscale import ProblemInstance
+
+    X = table.design
+    counts = table.counts.copy()
+    for j in (3, X.n_cols - 5, X.n_cols - 1):
+        counts[X.columns()[j][0]] = 0.0
+    return ProblemInstance.from_counts(X, counts)
+
+
 def _long_runs():
     """Three 9-level factors with their two-way terms: the main-effect runs
     (8 columns) and the interaction runs (64) are long enough for l1-ips and
@@ -132,6 +147,7 @@ def _instances(tmp: Path) -> dict:
         "table": (table, None),
         "table-observed": (_observed_cells(table), None),
         "table-long-runs": (_long_runs(), None),
+        "table-zeros": (_sampling_zeros(table), None),
         # every variant started at a converged optimum: exercises the fixed-point exit
         "table-warm": (table, optimum),
         "nonneg": (harness.gen_instance(harness.ExperimentSpec("nonneg-small", scale_factor=0.1)), None),

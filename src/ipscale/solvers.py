@@ -11,6 +11,16 @@ the run with the ``diverged`` termination.  :func:`solve` picks the
 variant's family; a family supplies only its state and its step, and one
 outer loop (:func:`_drive`) runs them all.
 
+The bookkeeping around a step exists once.  No coefficient leaves the box
++-BETA_CLAMP, and every variant lists each coordinate it pins there in
+``flags["divergent_coordinates"]``: the closed form
+beta + power * log(num / den) (:func:`_scaling_update`, with one scalar
+copy in the coordinate loop) pins and lists for ips, a-ips, x2-ips,
+mm-binary and gis, :func:`_clamp` for mm-general, mm-parallel, iis, q-ips
+and b-ips, and the l1 threshold and newton's line search pin their own
+steps.  A step that needs the gradient at its start (b-ips, newton)
+reads the one the record just before it computed (``record_grad``).
+
 Variants
 --------
 ips          cyclic coordinate descent with the closed-form binary update
@@ -223,6 +233,16 @@ def _init_slope(cfg: SolverConfig, p: int) -> np.ndarray:
     raise SolverError(f"beta_init must have length {p} or {p - 1}")
 
 
+def _clamp(values: np.ndarray, divergent: set, coords=None) -> np.ndarray:
+    """values pinned to +-BETA_CLAMP, listing in ``divergent`` each entry it
+    pinned (NaN included): entry k as coordinate k, or as coords[k]."""
+    pinned = np.clip(values, -BETA_CLAMP, BETA_CLAMP)
+    hit = np.flatnonzero(pinned != values)
+    if len(hit):
+        divergent.update((hit if coords is None else coords[hit]).tolist())
+    return pinned
+
+
 # ---------------------------------------------------------------------------
 # The shared outer loop and the two kinds of iterate it drives
 # ---------------------------------------------------------------------------
@@ -236,12 +256,15 @@ class _Family:
     ``step``.  ``step()`` performs one outer iteration, adds its work units
     to ``work`` (which starts with the family's set-up cost) and returns its
     :func:`_step_outcome`.  ``flags`` and the lists in ``diagnostics`` go
-    into the result.
+    into the result.  The base ``grad_norm`` keeps its gradient in
+    ``record_grad``, which :func:`_drive` clears after every step, so a step
+    that finds it set starts where the latest record was taken.
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
         self.inst, self.cfg, self.variant = inst, cfg, variant
         self.work = 0.0
+        self.record_grad: np.ndarray | None = None
         self.divergent: set[int] = set()
         self.flags: dict = {}
         self.diagnostics: dict[str, list] = {}
@@ -277,6 +300,7 @@ def _drive(fam: _Family) -> FitResult:
     # a wall time past the limit, always gives a termination
     while not trace.termination:
         outcome = fam.step()
+        fam.record_grad = None
         it += 1
         if outcome:
             record(it, outcome)
@@ -289,7 +313,7 @@ def _drive(fam: _Family) -> FitResult:
         elif time.perf_counter() - t0 >= cfg.t_max_secs:
             record(it)
     return FitResult(variant=fam.variant, beta=fam.beta, mu=fam.mu, trace=trace,
-                     flags={"divergent_coordinates": sorted(fam.divergent), **fam.flags},
+                     flags={"divergent_coordinates": sorted(map(int, fam.divergent)), **fam.flags},
                      diagnostics={k: np.array(v) for k, v in fam.diagnostics.items()})
 
 
@@ -312,7 +336,8 @@ class _RawState(_Family):
         return mdl.neg_log_likelihood(self.inst, self.c)
 
     def grad_norm(self) -> float:
-        return float(np.max(np.abs(mdl.gradient(self.inst, self.c))))
+        self.record_grad = mdl.gradient(self.inst, self.c)
+        return float(np.max(np.abs(self.record_grad)))
 
     def resync(self) -> None:
         self.c.resync(self.inst)
@@ -331,6 +356,7 @@ class _ProfiledState(_Family):
         if not inst.design.has_intercept:
             raise SolverError(f"{variant} needs an intercept as design column 0")
         self.slope = _init_slope(cfg, inst.n_cols)
+        self.coords = np.arange(1, inst.n_cols)  # the design column of each slope
         self.total = inst.total_count
         self.s_slope = inst.suff_stats[1:]
         self.resync()
@@ -353,7 +379,8 @@ class _ProfiledState(_Family):
             * self.inst.design.slope_rmatvec(self.mu_ring)
 
     def grad_norm(self) -> float:
-        return float(np.max(np.abs(self.grad())))
+        self.record_grad = self.grad()
+        return float(np.max(np.abs(self.record_grad)))
 
     def resync(self) -> None:
         self.mu_ring = self.inst.offset * np.exp(self.inst.design.slope_matvec(self.slope))
@@ -392,6 +419,7 @@ class _CDFamily(_RawState):
         super().__init__(inst, cfg, variant)
         p = X.n_cols
         self.pearson, self.lam = pearson, lam
+        self.power = 0.5 if pearson else 1.0  # of the closed form beta + power * log(num / den)
         self.nsq = inst.counts * inst.counts if pearson else None
         self.supports = [rows for rows, _ in X.columns()]
         self.runs = _sweep_plan(X.disjoint_runs()) if variant in ("l1-ips", "x2-ips") else None
@@ -413,8 +441,8 @@ class _CDFamily(_RawState):
 
     def grad_norm(self) -> float:
         if self.pearson:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = self.c.mu - self.nsq / self.c.mu
+            with np.errstate(divide="ignore"):
+                resid = self.c.mu - _pearson_ratio(self.nsq, self.c.mu)
             return float(np.max(np.abs(self.inst.design.rmatvec(resid))))
         if self.lam > 0:
             return float(np.max(l1_kkt_residuals(self.inst, self.c.beta, self.c.mu, self.lam)))
@@ -429,32 +457,22 @@ class _CDFamily(_RawState):
 
     def _coordinate_sweep(self, order) -> bool:
         beta, mu, s, B, lam = self.c.beta, self.c.mu, self.inst.suff_stats, BETA_CLAMP, self.lam
-        pearson, nsq, supports, divergent = self.pearson, self.nsq, self.supports, self.divergent
-        log, exp, add = np.log, np.exp, np.add.reduce
+        nsq, power, supports, divergent = self.nsq, self.power, self.supports, self.divergent
+        log, exp, add, inf = np.log, np.exp, np.add.reduce, math.inf
         track = self.track_g2 and order[0] == 0
         changed = False
         for j in order:
             supp = supports[j]
             mu_j = mu[supp]
             den = add(mu_j)
-            if pearson:
-                num = add(nsq[supp] / mu_j)
-                if num > 0.0 and den > 0.0 and np.isfinite(num):
-                    b_new = beta[j] + 0.5 * log(num / den)
-                    if not -B <= b_new <= B:
-                        b_new = min(max(b_new, -B), B)
-                        divergent.add(j)
-                else:
-                    b_new = -B if num <= 0.0 else B
-                    divergent.add(j)
-            elif lam > 0.0 and j != 0:
+            if lam > 0.0 and j != 0:
                 b_new = l1_threshold_update(j, beta[j], s[j], den, lam, B)
                 if not -B < b_new < B:  # clamped, or NaN
                     divergent.add(j)
-            else:
-                num = s[j]
-                if num > 0.0 and den > 0.0:
-                    b_new = beta[j] + log(num / den)
+            else:  # the scalar form of _scaling_update
+                num = s[j] if nsq is None else add(_pearson_ratio(nsq[supp], mu_j))
+                if 0.0 < num < inf and den > 0.0:
+                    b_new = beta[j] + power * log(num / den)
                     if not -B <= b_new <= B:  # also catches NaN and inf
                         b_new = min(max(b_new, -B), B)
                         divergent.add(j)
@@ -487,13 +505,12 @@ class _CDFamily(_RawState):
             M = mu[R]
             den = add(M, axis=1)
             beta_r = beta[a:b]
-            if self.pearson:
-                b_new, clamped = _scaling_update(beta_r, add(self.nsq[R] / M, axis=1), den, 0.5)
-            elif lam > 0.0:  # a long run never holds the intercept, which overlaps every column
+            if lam > 0.0:  # a long run never holds the intercept, which overlaps every column
                 b_new = l1_threshold_update(range(a, b), beta_r, s[a:b], den, lam, B)
                 clamped = ~((-B < b_new) & (b_new < B))  # clamped, or NaN
             else:
-                b_new, clamped = _scaling_update(beta_r, s[a:b], den, 1.0)
+                num = s[a:b] if self.nsq is None else add(_pearson_ratio(self.nsq[R], M), axis=1)
+                b_new, clamped = _scaling_update(beta_r, num, den, self.power)
             d = b_new - beta_r
             moved = d != 0.0
             if moved.any():
@@ -541,6 +558,12 @@ def _scaling_update(beta: np.ndarray, num: np.ndarray, den: np.ndarray, power: f
     ok = (num > 0.0) & (den > 0.0) & np.isfinite(num)
     b_new = np.where(ok, np.minimum(np.maximum(b_new, -B), B), np.where(num <= 0.0, -B, B))
     return b_new, ~(ok & inside)
+
+
+def _pearson_ratio(nsq: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """n^2 / mu elementwise, 0 where n = 0: a zero count adds nothing to the
+    Pearson numerator, even where its mean has underflowed to 0."""
+    return np.divide(nsq, mu, out=np.zeros(mu.shape), where=nsq > 0.0)
 
 
 def ips_fit(inst: ProblemInstance, cfg: SolverConfig | None = None) -> FitResult:
@@ -604,29 +627,20 @@ def l1_kkt_residuals(inst: ProblemInstance, beta: np.ndarray, mu: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _apply_sync_step(inst, beta, mu, delta, divergent) -> None:
-    """Clamp a synchronized step coordinate-wise and rescale mu in place."""
-    new_beta = np.clip(beta + delta, -BETA_CLAMP, BETA_CLAMP)
-    hit = (new_beta != beta + delta) | ~np.isfinite(delta)
-    if np.any(hit):
-        bad = np.nonzero(hit)[0]
-        divergent.update(int(j) for j in bad)
-        new_beta[~np.isfinite(new_beta)] = 0.0
-    actual = new_beta - beta
-    eta = inst.design.matvec(actual)
+def _apply_sync_step(inst, beta, mu, target) -> None:
+    """Move beta to an already-pinned target and rescale mu in place."""
+    eta = inst.design.matvec(target - beta)
     with np.errstate(over="ignore"):
         mu *= np.exp(eta)
-    beta[:] = new_beta
+    beta[:] = target
 
 
-def _ratio_step(inst, beta, mu, step_size, divergent) -> None:
-    s = inst.suff_stats
-    den = inst.design.rmatvec(mu)
+def _ratio_step(inst, beta, mu, power, divergent) -> None:
+    """The synchronized closed form beta + power * log(X^T n / X^T mu)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = step_size * np.log(s / den)
-    delta = np.where(s <= 0.0, -np.inf, delta)
-    delta = np.where((den <= 0.0) & (s > 0.0), np.inf, delta)
-    _apply_sync_step(inst, beta, mu, delta, divergent)
+        target, pinned = _scaling_update(beta, inst.suff_stats, inst.design.rmatvec(mu), power)
+    divergent.update(np.flatnonzero(pinned).tolist())
+    _apply_sync_step(inst, beta, mu, target)
 
 
 def mm_binary_step(inst: ProblemInstance, c: Coefficients,
@@ -679,7 +693,7 @@ def mm_general_step(inst: ProblemInstance, c: Coefficients,
     delta[up] = np.inf
     rest = zero_a & ~neg_b & ~up
     delta[rest] = 0.0
-    _apply_sync_step(inst, c.beta, c.mu, delta, divergent)
+    _apply_sync_step(inst, c.beta, c.mu, _clamp(c.beta + delta, divergent))
     return c
 
 
@@ -718,7 +732,7 @@ def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
         if not ok and flags is not None:
             flags["block_step_failures"] = flags.get("block_step_failures", 0) + 1
         delta[cols] = d
-    _apply_sync_step(inst, c.beta, c.mu, delta, divergent)
+    _apply_sync_step(inst, c.beta, c.mu, _clamp(c.beta + delta, divergent))
     return c
 
 
@@ -902,7 +916,7 @@ class _IisFamily(_ProfiledState):
             if clamped:
                 self.divergent.add(j + 1)
             delta[j] = d
-        new_slope = np.clip(slope + delta, -BETA_CLAMP, BETA_CLAMP)
+        new_slope = _clamp(slope + delta, self.divergent, self.coords)
         moved = not np.array_equal(new_slope, slope)
         with np.errstate(over="ignore"):
             mu_ring *= np.exp(self.inst.design.slope_matvec(new_slope - slope))
@@ -1051,40 +1065,6 @@ def _armijo(g: np.ndarray, H: np.ndarray, f: float, trial, halvings: int):
 # ---------------------------------------------------------------------------
 
 
-class _WOperator:
-    """Curvature-bound matrix with a reusable factorization (+ ridge repair).
-
-    Both bounds dominate the profiled curvature for every total count:
-    Bohning's matrix bound (``model.bohning_bound``, factored once, a ridge
-    added where it is singular) and the scalar spectral bound.
-    """
-
-    def __init__(self, inst: ProblemInstance, w_choice: str, lam: float):
-        self.repaired = False
-        p1 = inst.n_cols - 1
-        if w_choice == "spectral":
-            self.scalar = mdl.spectral_bound(inst) + lam
-            self.matrix = None
-            if self.scalar <= 0.0:
-                raise SolverError("spectral curvature bound is not positive")
-            return
-        W = mdl.bohning_bound(inst)
-        if lam > 0.0:
-            W = W + lam * np.eye(p1)
-        self.scalar = None
-        self.matrix = W
-        self.cf, self.repaired = _cholesky(W)
-        if self.cf is None:
-            raise SolverError("curvature bound matrix could not be factorized")
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        if self.scalar is not None:
-            return g / self.scalar
-        return scipy.linalg.cho_solve(self.cf, g, check_finite=False)
-
-
 class _QipsFamily(_ProfiledState):
     """Accelerated steps under the fixed curvature bound W, with the
     gradient restart of O'Donoghue and Candes (2015).
@@ -1097,20 +1077,40 @@ class _QipsFamily(_ProfiledState):
     binds.  The momentum restarts (theta = 1, eta_aux = slope) whenever the
     step's gradient makes an acute angle with the step it led to,
     g(alpha)^T (slope_new - slope) > 0.
+
+    W is either bound that dominates the profiled curvature for every total
+    count: Bohning's matrix bound (``model.bohning_bound``, factored once, a
+    ridge added where it is singular) or the scalar spectral bound.
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
         self.theta = 1.0  # read by the resync that the profiled state runs at its start
         super().__init__(inst, cfg, variant)
         X = inst.design
-        self.lam = cfg.lam if variant == "ridge-q-ips" else 0.0
-        self.eta_aux = self.slope
-        self.W = _WOperator(inst, cfg.w_choice, self.lam)
         N, p = X.n_rows, X.n_cols
-        self.work += float(N) * (p - 1) ** 2 if cfg.w_choice == "bohning" else float(N) * (p - 1)
-        self.step_work = 2.0 * X.nnz + 6.0 * N \
-            + (float((p - 1) ** 2) if self.W.matrix is not None else float(p))
-        self.flags.update(momentum_restarts=0, w_ridge_repaired=self.W.repaired)
+        self.lam = lam = cfg.lam if variant == "ridge-q-ips" else 0.0
+        self.eta_aux = self.slope
+        repaired = False
+        if cfg.w_choice == "spectral":
+            w = mdl.spectral_bound(inst) + lam
+            if w <= 0.0:
+                raise SolverError("spectral curvature bound is not positive")
+            self.solve_w = lambda g: g / w
+            self.work += float(N) * (p - 1)
+            self.step_work = 2.0 * X.nnz + 6.0 * N + float(p)
+        else:
+            import scipy.linalg  # imported here: commands that never factor skip its import
+
+            W = mdl.bohning_bound(inst)
+            if lam > 0.0:
+                W = W + lam * np.eye(p - 1)
+            cf, repaired = _cholesky(W)
+            if cf is None:
+                raise SolverError("curvature bound matrix could not be factorized")
+            self.solve_w = lambda g: scipy.linalg.cho_solve(cf, g, check_finite=False)
+            self.work += float(N) * (p - 1) ** 2
+            self.step_work = 2.0 * X.nnz + 6.0 * N + float((p - 1) ** 2)
+        self.flags.update(momentum_restarts=0, w_ridge_repaired=repaired)
 
     def objective(self) -> float:
         val = super().objective()
@@ -1142,17 +1142,17 @@ class _QipsFamily(_ProfiledState):
         g_alpha = -self.s_slope + self.total * X.slope_rmatvec(w)
         if lam > 0.0:
             g_alpha = g_alpha + lam * alpha
-        eta_new = self.eta_aux - self.W.solve(g_alpha) / theta
+        eta_new = self.eta_aux - self.solve_w(g_alpha) / theta
+        # the auxiliary sequence is kept in the box, so the slope leaves it by rounding only
         np.clip(eta_new, -B, B, out=eta_new)
         z_eta = self.z_eta + X.slope_matvec(eta_new - self.eta_aux)
         slope_new = (1.0 - theta) * slope + theta * eta_new
-        clipped = np.clip(slope_new, -B, B)
+        pinned = _clamp(slope_new, self.divergent, self.coords)
         self.work += self.step_work
-        if np.array_equal(clipped, slope_new):
+        if np.array_equal(pinned, slope_new):
             self.z_slope = (1.0 - theta) * self.z_slope + theta * z_eta
         else:
-            self.divergent.update(int(j) + 1 for j in np.nonzero(clipped != slope_new)[0])
-            slope_new = clipped
+            slope_new = pinned
             self.z_slope = X.slope_matvec(slope_new)
             self.work += X.nnz
         self._set_mean()
@@ -1209,7 +1209,7 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, tol, flags):
     N = Xk.shape[0]
     block_nnz = Xk.nnz
     d = np.zeros(g)
-    mu_loc = mu_ring.copy()
+    mu_loc = mu_ring  # never written in place: each accepted step replaces it
     S = float(mu_loc.sum())
     f = total * np.log(S)
     work = 0.0
@@ -1266,24 +1266,15 @@ class _BipsFamily(_ProfiledState):
         if cfg.track_block_objective:
             self.diagnostics["block_objectives"] = []
 
-    def grad_norm(self) -> float:
-        # kept for the next sweep: a record taken just before it is at its start
-        self.start_gnorm = super().grad_norm()
-        return self.start_gnorm
-
-    def resync(self) -> None:
-        super().resync()
-        self.start_gnorm = None
-
     def step(self) -> str:
         cfg, X, slope = self.cfg, self.inst.design, self.slope
         before = slope.copy()
         failures = self.flags["line_search_failures"]
-        if self.start_gnorm is None:
-            self.grad_norm()
+        g = self.record_grad
+        if g is None:
+            g = self.grad()
             self.work += 2.0 * X.nnz
-        tol = max(BIPS_FORCING * self.start_gnorm, self.floor)
-        self.start_gnorm = None
+        tol = max(BIPS_FORCING * float(np.max(np.abs(g))), self.floor)
         perm = self.rng.permutation(len(slope))
         off = 0
         for gsize in self.sizes:
@@ -1295,10 +1286,9 @@ class _BipsFamily(_ProfiledState):
             self.work += work
             if failed:
                 self.flags["line_search_failures"] += 1
-            new_vals = np.clip(slope[cols] + d, -BETA_CLAMP, BETA_CLAMP)
-            if not np.array_equal(new_vals, slope[cols] + d):
-                hit = np.nonzero(new_vals != slope[cols] + d)[0]
-                self.divergent.update(int(cols[h]) + 1 for h in hit)
+            target = slope[cols] + d
+            new_vals = _clamp(target, self.divergent, self.coords[cols])
+            if not np.array_equal(new_vals, target):
                 extra = new_vals - slope[cols] - d
                 with np.errstate(over="ignore"):
                     mu_new = mu_new * np.exp(Xk.matvec(extra))
@@ -1332,16 +1322,10 @@ class _NewtonFamily(_RawState):
             raise SolverError(f"newton baseline is limited to p <= {NEWTON_MAX_P}")
         super().__init__(inst, cfg, variant)
         self.step_work = float(inst.n_rows) * p * p + p**3 / 3.0
-        self.g = None
-
-    def grad_norm(self) -> float:
-        # kept for the next step, so a record and that step share one gradient
-        self.g = mdl.gradient(self.inst, self.c)
-        return float(np.max(np.abs(self.g)))
 
     def step(self) -> str:
         inst = self.inst
-        g, self.g = self.g, None
+        g = self.record_grad
         if g is None:
             g = mdl.gradient(inst, self.c)
             self.work += inst.design.nnz + inst.n_cols

@@ -64,6 +64,16 @@ class TestFit:
         assert flags["line_search_failures"] == 0
         assert isinstance(flags["newton_steps"], int) and flags["newton_steps"] > 0
 
+    def test_randomized_solver_lists_pinned_coordinates_as_integers(self, tmp_path):
+        # the second column's cells hold no counts: its coefficient is pinned at -250
+        schema, counts = write_2x2_inputs(tmp_path, counts=(10, 0, 50, 0))
+        out = tmp_path / "out"
+        code = run_cli("fit", "--counts", counts, "--schema", schema,
+                       "--solver", "a-ips", "--seed", "3", "--out-dir", str(out))
+        assert code == 0
+        pinned = json.loads((out / "summary.json").read_text())["flags"]["divergent_coordinates"]
+        assert pinned == [2] and all(type(j) is int for j in pinned)
+
     def test_seeded_runs_identical(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)
         outs = []

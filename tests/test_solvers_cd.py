@@ -209,6 +209,31 @@ class TestPearsonVariant:
         assert np.isfinite(res.trace.final().objective)
 
 
+def table_with_sampling_zeros() -> ProblemInstance:
+    """The 0.3-scale moderate table (3^4 cells, 33 columns) with no counts on
+    the supports of columns 3, p-5 and p-1."""
+    table = harness.gen_instance(harness.ExperimentSpec("table-moderate", scale_factor=0.3))
+    X, counts = table.design, table.counts.copy()
+    for j in (3, X.n_cols - 5, X.n_cols - 1):
+        counts[X.col_support(j)] = 0.0
+    return ProblemInstance.from_counts(X, counts)
+
+
+class TestSamplingZeros:
+    def test_pearson_variant_converges_where_zero_cell_means_underflow(self):
+        # ips pins the coordinates of the empty columns at -250, where the means
+        # of the cells under two of them underflow to 0; a zero count must then
+        # add nothing to the Pearson numerator sum n^2 / mu, not 0/0
+        inst = table_with_sampling_zeros()
+        res = x2_ips_fit(inst, SolverConfig(variant="x2-ips", eps_tol=1e-8))
+        assert res.termination == "tol_reached"
+        obj = res.trace.objectives()
+        assert np.all(np.diff(obj) <= 1e-9 * (1.0 + np.abs(obj[:-1])))
+        lik = ips_fit(inst, SolverConfig(variant="ips", eps_tol=1e-8))
+        assert res.flags["divergent_coordinates"] == lik.flags["divergent_coordinates"]
+        assert np.array_equal(np.abs(res.beta) >= 250.0, np.abs(lik.beta) >= 250.0)
+
+
 class TestCheckStop:
     def _trace(self, rel, wall=0.1, it=5, g0=1.0):
         tr = ConvergenceTrace(g0_norm=g0)
@@ -329,7 +354,8 @@ def per_coordinate_sweep(fam) -> bool:
         mu_j = mu[supp]
         den = np.add.reduce(mu_j)
         if fam.pearson:
-            num = np.add.reduce(fam.nsq[supp] / mu_j)
+            nsq = fam.nsq[supp]  # a zero count adds 0, even where its mean underflowed
+            num = np.add.reduce(np.where(nsq > 0.0, nsq / mu_j, 0.0))
             ok = num > 0.0 and den > 0.0 and np.isfinite(num)
             b_new = beta[j] + 0.5 * np.log(num / den) if ok else (-B if num <= 0.0 else B)
             clamped = not (ok and -B <= b_new <= B)

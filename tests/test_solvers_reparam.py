@@ -23,6 +23,7 @@ from ipscale.solvers import (
     normalized_scaling_sequence,
     profiled_scaling_sequence,
     qips_fit,
+    solve,
     solve_scaling_equation,
 )
 from ipscale.surrogates import surrogate_quadratic
@@ -113,6 +114,18 @@ class TestScalingRecursions:
         res = iis_fit(inst, SolverConfig(variant="iis", eps_tol=1e-8))
         obj = res.trace.objectives()
         assert np.all(np.diff(obj) <= 1e-9 * (1.0 + np.abs(obj[:-1])))
+
+    @pytest.mark.parametrize("variant", ["iis", "q-ips", "b-ips", "ips"])
+    def test_variant_lists_the_slope_it_pins(self, variant):
+        # the last column's cells have tiny offsets: its coefficient, started
+        # next to the bound, is pushed past +250 and pinned there
+        X = DesignMatrix.from_dense(np.array([[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], float))
+        inst = ProblemInstance.from_counts(X, [1.0, 20.0, 1.0, 20.0],
+                                           offset=np.array([1.0, 1e-110, 1.0, 1e-110]))
+        res = solve(inst, SolverConfig(variant=variant, beta_init=np.array([0.0, 0.0, 249.5]),
+                                       max_iters=200))
+        assert res.beta[2] == 250.0
+        assert res.flags["divergent_coordinates"] == [2]
 
     def test_iis_rejects_signed_designs(self):
         inst = random_general_instance(56)
