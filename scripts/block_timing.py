@@ -19,7 +19,10 @@ in odd ones.  After the pairs, one more run per side traces its allocations
 with ``tracemalloc``.  For each workload and side the script prints the
 median wall seconds with the quartiles, the traced peak, and a digest of
 every fit's coefficients and trace (objective and relative gradient per
-record), so equal digests mean bit-identical iterates.
+record), so equal digests mean bit-identical iterates.  For b-ips it also
+prints the Newton steps of the three fits and the median seconds per step:
+each step takes one block Gram, so the per-Gram saving reads off the
+difference between the sides.
 """
 
 import argparse
@@ -38,7 +41,8 @@ SIDES = ("parent", "change")
 
 
 def _child(workload: str, seed: int, trace: bool) -> dict:
-    """Run one workload with the ipscale on sys.path; wall seconds, peak, digest."""
+    """Run one workload with the ipscale on sys.path; wall seconds, peak,
+    digest and Newton steps."""
     import tracemalloc
 
     from ipscale import ProblemInstance, SolverConfig, harness, solve
@@ -65,7 +69,8 @@ def _child(workload: str, seed: int, trace: bool) -> dict:
     for res in results:
         digest.update(res.beta.tobytes())
         digest.update(np.array([(r.objective, r.rel_gradient) for r in res.trace.records]).tobytes())
-    return {"wall": wall, "peak": peak, "digest": digest.hexdigest()[:16]}
+    steps = sum(res.flags.get("newton_steps", 0) for res in results)
+    return {"wall": wall, "peak": peak, "digest": digest.hexdigest()[:16], "newton_steps": steps}
 
 
 def _run(src: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -103,9 +108,12 @@ def main() -> int:
             q1, med, q3 = np.percentile(walls, [25, 50, 75])
             traced = _run(srcs[side], workload, args.seed, True)
             digests = {r["digest"] for r in runs[side] + [traced]}
+            steps = runs[side][0]["newton_steps"]
+            per_step = (f"  {steps} Newton steps, median {med / steps * 1e3:.3f} ms/step"
+                        if workload == "b-ips" and steps else "")
             print(f"{workload:22s} {side:6s} median {med:7.3f} s (quartiles {q1:.3f}-{q3:.3f}, "
                   f"{len(walls)} runs)  peak {traced['peak'] / 1e6:6.1f} MB  "
-                  f"digest {','.join(sorted(digests))}", flush=True)
+                  f"digest {','.join(sorted(digests))}{per_step}", flush=True)
     return 0
 
 

@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from ._io import (
     fmt, read_csv_columns, read_csv_header, read_json, record_line, write_csv, write_json)
@@ -390,14 +391,16 @@ class ColumnBlock:
     for several products: b-ips takes a few Newton steps on every block it
     visits, and mm-parallel keeps its blocks for the whole fit.
 
-    On a sparse block, which is binary, ``gram(w)`` is one sparse product:
-    the block's transpose times a row-major copy of the block whose stored
-    values are scaled by ``w``, so each holds the weight of its row.  The
-    copy is made at the first Gram (a block whose first gradient check
-    already passes makes none) and rescaled in place by every later one.
-    Each entry sums its rows in ascending order, as the sparse product of
-    :func:`gram` does, so both give the same bits.  On a dense block
-    ``gram`` is :func:`gram`.
+    On a sparse block, which is binary, ``gram(w)`` is one numeric pass of
+    scipy's sparse product, with no symbolic pass to size its output: a
+    g x g Gram has at most g^2 entries.  The left factor is block^T diag(w),
+    read off the block's own CSC arrays (the CSR arrays of its transpose)
+    with ``w`` gathered at their row indices as its values; the right factor
+    is a row-major copy of the block, made at the first Gram (a block whose
+    first gradient check already passes makes none) and never written.
+    Each entry sums its rows' weights in ascending row order, times 1, as
+    the sparse product of :func:`gram` does, so both give the same bits.
+    On a dense block ``gram`` is :func:`gram`.
     """
 
     def __init__(self, matrix):
@@ -408,9 +411,8 @@ class ColumnBlock:
 
     @cached_property
     def _row_major(self):
-        """(row-major copy, the row of each of its entries) of a sparse block."""
-        copy = self.matrix.tocsr()
-        return copy, np.repeat(np.arange(self.shape[0]), np.diff(copy.indptr))
+        """Row-major copy of a sparse block, all values 1."""
+        return self.matrix.tocsr()
 
     def matvec(self, d: np.ndarray) -> np.ndarray:
         return self.matrix @ d
@@ -422,10 +424,16 @@ class ColumnBlock:
         """Dense block^T diag(w) block."""
         if not sp.issparse(self.matrix):
             return gram(self.matrix, w)
-        copy, rows = self._row_major
-        # the rows are in range; "clip" skips the buffered copy of "raise"
-        np.take(w, rows, out=copy.data, mode="clip")
-        return (self._transpose @ copy).toarray()
+        M, R, g = self.matrix, self._row_major, self.shape[1]
+        indptr, indices = np.empty(g + 1, M.indices.dtype), np.empty(g * g, M.indices.dtype)
+        data = np.empty(g * g)
+        # scipy's private numeric kernel, the second pass of `@`: its first
+        # pass only sizes an output that cannot exceed g^2 entries
+        _sparsetools.csr_matmat(g, g, M.indptr, M.indices, w[M.indices],
+                                R.indptr, R.indices, R.data, indptr, indices, data)
+        out = np.zeros((g, g))
+        _sparsetools.csr_todense(g, g, indptr, indices, data, out)
+        return out
 
 
 # -- contingency-table designs ---------------------------------------------

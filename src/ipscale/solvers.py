@@ -270,16 +270,18 @@ class _Family:
         self.diagnostics: dict[str, list] = {}
 
 
-def _drive(fam: _Family) -> FitResult:
+def _drive(fam: _Family, t0: float) -> FitResult:
     """The outer loop of every variant, and its trace.
 
     Records the start, then steps until the stopping rule fires on a
     record: one on the ``record_every`` cadence, one after a step that
     changed nothing, or one taken once out of time between records.  The
     mean is rebuilt every 64 iterations against multiplicative drift.
+    ``t0`` is the wall clock before the family was built, so the later
+    records and the time limit count its set-up, as the work clock does;
+    the start record reads 0 s.
     """
     inst, cfg = fam.inst, fam.cfg
-    t0 = time.perf_counter()
     trace = ConvergenceTrace()
     record_work = inst.design.nnz + inst.n_cols
 
@@ -1005,9 +1007,10 @@ def _cholesky(H: np.ndarray):
 
     Tries H as given, then H + r I with r starting at 1e-10 x the mean
     diagonal and growing tenfold per try, 14 tries in all.  A try fails when
-    the factorization does, or when a pivot is at the rounding level of its
-    diagonal entry, L_kk^2 <= p eps H_kk: a matrix that is singular in exact
-    arithmetic can factor with a last pivot that rounding left positive.
+    the factorization does, or when a pivot is at the rounding level of the
+    largest diagonal entry, L_kk^2 <= 8 p eps max_k H_kk: a matrix that is
+    singular in exact arithmetic can factor with a last pivot that rounding
+    left positive, a few times p eps H_kk.
     Returns (factor, repaired); the factor is None when every try failed.
     """
     import scipy.linalg  # imported here: commands that never factor skip its import
@@ -1024,7 +1027,8 @@ def _cholesky(H: np.ndarray):
         except (np.linalg.LinAlgError, ValueError):
             pass
         else:
-            if not np.any(np.diag(cf[0]) ** 2 <= p * np.finfo(float).eps * np.diag(Hd)):
+            floor = 8 * p * np.finfo(float).eps * np.max(np.diag(Hd), initial=0.0)
+            if not np.any(np.diag(cf[0]) ** 2 <= floor):
                 return cf, damp > 0.0
         damp = base * 1e-10 if damp == 0.0 else damp * 10.0
     return None, True
@@ -1227,14 +1231,14 @@ def _block_newton_profiled(Xk, sk, mu_ring, total, tol, flags):
         return -float(sk @ (d + t * direction)) + total * np.log(S_try), (mu_try, S_try)
 
     for _ in range(INNER_MAX_ITERS):
-        u = Xk.rmatvec(mu_loc)
-        gk = -sk + total * (u / S)
+        uS = Xk.rmatvec(mu_loc) / S
+        gk = -sk + total * uS
         work += 2.0 * block_nnz
         if float(np.max(np.abs(gk))) <= tol:
             break
         flags["newton_steps"] += 1
         A = Xk.gram(mu_loc / S)
-        H = total * (A - np.outer(u / S, u / S))
+        H = total * (A - np.outer(uS, uS))
         work += block_nnz * g + g**3 / 3.0
         step = _armijo(gk, H, f, trial, 30)
         if step is None:
@@ -1374,7 +1378,8 @@ def solve(inst: ProblemInstance, cfg: SolverConfig, **hooks) -> FitResult:
     ``hooks`` go to the family's constructor (a-ips takes ``perm_fn``, a
     test hook that replaces its per-sweep permutation).
     """
-    return _drive(_FAMILIES[cfg.variant](inst, cfg, cfg.variant, **hooks))
+    t0 = time.perf_counter()
+    return _drive(_FAMILIES[cfg.variant](inst, cfg, cfg.variant, **hooks), t0)
 
 
 def _fit(inst: ProblemInstance, cfg: SolverConfig | None, variant: str, **hooks) -> FitResult:

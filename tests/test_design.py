@@ -571,15 +571,18 @@ class TestColumnBlock:
         _, _, got, want = _block_products(X, np.array([1, 2]), 32)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    def test_later_grams_rescale_the_row_major_copy(self):
+    def test_row_major_copy_is_made_once_and_never_written(self):
         X = DesignMatrix.from_dense(np.array([[1, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=float))
         blk, S = X.column_block([0, 1, 2]), X.submatrix([0, 1, 2])
         assert "_row_major" not in blk.__dict__
         rng = make_rng(33)
+        copies = []
         for _ in range(3):
             w = rng.uniform(0.1, 3.0, size=3)
             assert np.array_equal(blk.gram(w), gram(S, w))
-        assert "_row_major" in blk.__dict__
+            copies.append(blk.__dict__["_row_major"])
+            assert np.array_equal(copies[-1].data, np.ones(S.nnz))
+        assert all(c is copies[0] for c in copies)
 
     @given(st.integers(1, 12), st.integers(2, 7), st.integers(0, 2**16), st.data())
     def test_dense_block_is_bitwise_today(self, n, p, seed, data):

@@ -1,11 +1,13 @@
 """Synchronized multiplicative updates and their surrogate bounds."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from ipscale import model as mdl
-from ipscale.design import DesignMatrix, TableSchema, build_table_design
+from ipscale.design import ColumnBlock, DesignMatrix, TableSchema, build_table_design
 from ipscale.model import Coefficients, ProblemInstance
 from ipscale.solvers import (
     SolverConfig,
@@ -191,6 +193,29 @@ class TestParallelBlocks:
                                                  max_iters=5, block_sizes=(2, 3, 1)))
         assert res.trace.final().iteration == 5
         assert built == [(0, 1), (2, 3, 4), (5,)]
+
+    def test_each_block_copied_row_major_once_per_fit(self, monkeypatch):
+        inst = random_binary_instance(38, n_rows=30, n_cols=6)
+        copied, grams = [], []
+        real_copy, real_gram = ColumnBlock._row_major.func, ColumnBlock.gram
+
+        def row_major(self):
+            copied.append(self.shape[1])
+            return real_copy(self)
+
+        def gram(self, w):
+            grams.append(self.shape[1])
+            return real_gram(self, w)
+
+        patched = cached_property(row_major)
+        patched.__set_name__(ColumnBlock, "_row_major")
+        monkeypatch.setattr(ColumnBlock, "_row_major", patched)
+        monkeypatch.setattr(ColumnBlock, "gram", gram)
+        res = mm_parallel_fit(inst, SolverConfig(variant="mm-parallel", eps_tol=1e-12,
+                                                 max_iters=5, block_sizes=(2, 3, 1)))
+        assert res.trace.final().iteration == 5
+        assert sorted(copied) == [1, 2, 3]
+        assert all(grams.count(g) >= 5 for g in (1, 2, 3))
 
     def test_block_sizes_must_partition(self):
         inst = random_nonneg_instance(37, n_cols=5)

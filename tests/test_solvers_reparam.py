@@ -1,5 +1,7 @@
 """Intercept-profiled solvers: 1-D scaling solves, momentum, block Newton."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -237,10 +239,25 @@ class TestMomentumSolver:
         res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8))
         assert res.termination == "tol_reached"
         assert res.trace.final().rel_gradient <= 1e-8
-        if len(margins) == 2:
-            # the bound's factorization fails outright, and the ridge repairs it;
-            # with one margin its last pivot rounds to just above _cholesky's test
-            assert res.flags["w_ridge_repaired"]
+        assert res.flags["w_ridge_repaired"]
+
+    def test_wall_clock_counts_the_bound_set_up(self, monkeypatch):
+        # the bound is built with the family, before the first step: the
+        # final record and the time limit both count it
+        real = mdl.bohning_bound
+
+        def slow_bound(inst):
+            time.sleep(0.3)
+            return real(inst)
+
+        monkeypatch.setattr(mdl, "bohning_bound", slow_bound)
+        inst = table_instance_3x3x3()
+        res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8))
+        assert res.trace.records[0].wall_seconds == 0.0
+        assert res.wall_seconds >= 0.3
+        res = qips_fit(inst, SolverConfig(variant="q-ips", eps_tol=1e-8, t_max_secs=0.2))
+        assert res.termination == "time_limit"
+        assert res.trace.final().iteration == 1
 
 
 class TestBlockSolver:
