@@ -22,7 +22,8 @@ every fit's coefficients and trace (objective and relative gradient per
 record), so equal digests mean bit-identical iterates.  For b-ips it also
 prints the Newton steps of the three fits and the median seconds per step:
 each step takes one block Gram, so the per-Gram saving reads off the
-difference between the sides.
+difference between the sides.  For mm-parallel it prints the block solves
+that failed (the ``block_step_failures`` flag, summed over the fits).
 """
 
 import argparse
@@ -42,7 +43,7 @@ SIDES = ("parent", "change")
 
 def _child(workload: str, seed: int, trace: bool) -> dict:
     """Run one workload with the ipscale on sys.path; wall seconds, peak,
-    digest and Newton steps."""
+    digest, Newton steps and failed block solves."""
     import tracemalloc
 
     from ipscale import ProblemInstance, SolverConfig, harness, solve
@@ -70,7 +71,9 @@ def _child(workload: str, seed: int, trace: bool) -> dict:
         digest.update(res.beta.tobytes())
         digest.update(np.array([(r.objective, r.rel_gradient) for r in res.trace.records]).tobytes())
     steps = sum(res.flags.get("newton_steps", 0) for res in results)
-    return {"wall": wall, "peak": peak, "digest": digest.hexdigest()[:16], "newton_steps": steps}
+    failures = sum(res.flags.get("block_step_failures", 0) for res in results)
+    return {"wall": wall, "peak": peak, "digest": digest.hexdigest()[:16], "newton_steps": steps,
+            "block_step_failures": failures}
 
 
 def _run(src: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -108,12 +111,16 @@ def main() -> int:
             q1, med, q3 = np.percentile(walls, [25, 50, 75])
             traced = _run(srcs[side], workload, args.seed, True)
             digests = {r["digest"] for r in runs[side] + [traced]}
-            steps = runs[side][0]["newton_steps"]
-            per_step = (f"  {steps} Newton steps, median {med / steps * 1e3:.3f} ms/step"
-                        if workload == "b-ips" and steps else "")
+            steps, failures = runs[side][0]["newton_steps"], runs[side][0]["block_step_failures"]
+            if workload != "b-ips":
+                counts = f"  {failures} failed block solves"
+            elif steps:
+                counts = f"  {steps} Newton steps, median {med / steps * 1e3:.3f} ms/step"
+            else:
+                counts = ""
             print(f"{workload:22s} {side:6s} median {med:7.3f} s (quartiles {q1:.3f}-{q3:.3f}, "
                   f"{len(walls)} runs)  peak {traced['peak'] / 1e6:6.1f} MB  "
-                  f"digest {','.join(sorted(digests))}{per_step}", flush=True)
+                  f"digest {','.join(sorted(digests))}{counts}", flush=True)
     return 0
 
 

@@ -95,7 +95,6 @@ class SolverConfig:
     beta_init: np.ndarray | None = None
     record_every: int = 1
     track_g2: bool = False
-    track_block_objective: bool = False
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -273,9 +272,10 @@ class _Family:
 def _drive(fam: _Family, t0: float) -> FitResult:
     """The outer loop of every variant, and its trace.
 
-    Records the start, then steps until the stopping rule fires on a
-    record: one on the ``record_every`` cadence, one after a step that
-    changed nothing, or one taken once out of time between records.  The
+    Records the start, which the stopping rule tests like every later
+    record, then steps until the rule fires on a record: one on the
+    ``record_every`` cadence, one after a step that changed nothing, or one
+    taken once out of time between records.  The
     mean is rebuilt every 64 iterations against multiplicative drift.
     ``t0`` is the wall clock before the family was built, so the later
     records and the time limit count its set-up, as the work clock does;
@@ -292,11 +292,14 @@ def _drive(fam: _Family, t0: float) -> FitResult:
         trace.records.append(rec)
         trace.termination = _stop_reason(rec, cfg)
 
-    obj, trace.g0_norm = fam.objective(), fam.grad_norm()
-    trace.records.append(TraceRecord(0, 0.0, 0.0, obj, 0.0 if trace.g0_norm == 0.0 else 1.0,
-                                     _est_error(fam.beta, inst.beta_true)))
-    if trace.g0_norm == 0.0:
-        trace.termination = TOL_REACHED
+    obj, g0 = fam.objective(), fam.grad_norm()
+    trace.g0_norm = g0
+    # g0 / g0: 1 at a regular start, nan (so diverged) where the start's
+    # gradient overflows; a start at a zero gradient has converged
+    start = TraceRecord(0, 0.0, 0.0, obj, 0.0 if g0 == 0.0 else g0 / g0,
+                        _est_error(fam.beta, inst.beta_true))
+    trace.records.append(start)
+    trace.termination = _stop_reason(start, cfg)
     it = 0
     # every record below but a cadence one ends the run: a step outcome, or
     # a wall time past the limit, always gives a termination
@@ -629,76 +632,6 @@ def l1_kkt_residuals(inst: ProblemInstance, beta: np.ndarray, mu: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _apply_sync_step(inst, beta, mu, target) -> None:
-    """Move beta to an already-pinned target and rescale mu in place."""
-    eta = inst.design.matvec(target - beta)
-    with np.errstate(over="ignore"):
-        mu *= np.exp(eta)
-    beta[:] = target
-
-
-def _ratio_step(inst, beta, mu, power, divergent) -> None:
-    """The synchronized closed form beta + power * log(X^T n / X^T mu)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        target, pinned = _scaling_update(beta, inst.suff_stats, inst.design.rmatvec(mu), power)
-    divergent.update(np.flatnonzero(pinned).tolist())
-    _apply_sync_step(inst, beta, mu, target)
-
-
-def mm_binary_step(inst: ProblemInstance, c: Coefficients,
-                   divergent: set | None = None) -> Coefficients:
-    """Synchronized update beta += (1/p) log(X^T n / X^T mu) for binary designs."""
-    if inst.design.kind != KIND_BINARY:
-        raise SolverError("mm-binary requires a binary design")
-    divergent = set() if divergent is None else divergent
-    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.n_cols, divergent)
-    return c
-
-def gis_step(inst: ProblemInstance, c: Coefficients,
-             divergent: set | None = None) -> Coefficients:
-    """Synchronized update beta += (1/R) log(X^T n / X^T mu), R = max row sum."""
-    if inst.design.kind == KIND_GENERAL:
-        raise SolverError("gis requires a non-negative design")
-    divergent = set() if divergent is None else divergent
-    _ratio_step(inst, c.beta, c.mu, 1.0 / inst.design.row_sum_max, divergent)
-    return c
-
-
-def mm_general_step(inst: ProblemInstance, c: Coefficients,
-                    divergent: set | None = None) -> Coefficients:
-    """Per-coordinate exact minimization of the signed-design surrogate.
-
-    For each column, with a = <x_j+, mu>, b = <x_j, n>, c = <x_j-, mu>, the
-    step solves a*u^2 - b*u - c = 0 for u = exp(R * delta_j) and takes the
-    positive root; the boundary cases push the coordinate to the clamp.
-    """
-    divergent = set() if divergent is None else divergent
-    X = inst.design
-    R = X.row_sum_max
-    Xp, Xn = X.pos_neg_parts()
-    a = Xp.T @ c.mu
-    b = inst.suff_stats
-    cc = Xn.T @ c.mu
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = (b + np.sqrt(b * b + 4.0 * a * cc)) / (2.0 * a)
-    delta = np.empty_like(b)
-    pos = a > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta[pos] = np.log(root[pos]) / R
-    zero_a = ~pos
-    neg_b = zero_a & (b < 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta[neg_b] = np.log(cc[neg_b] / (-b[neg_b])) / R
-    # a = 0 with b > 0, or a = b = 0 with mass on the negative part: the
-    # surrogate has no finite stationary point and the coordinate diverges up.
-    up = zero_a & ((b > 0.0) | ((b == 0.0) & (cc > 0.0)))
-    delta[up] = np.inf
-    rest = zero_a & ~neg_b & ~up
-    delta[rest] = 0.0
-    _apply_sync_step(inst, c.beta, c.mu, _clamp(c.beta + delta, divergent))
-    return c
-
-
 def _auto_blocks(total: int, block_sizes, *, what: str) -> list[np.ndarray]:
     """Consecutive index blocks of 0..total-1: the given sizes, or blocks of 200."""
     if block_sizes is None:
@@ -708,34 +641,6 @@ def _auto_blocks(total: int, block_sizes, *, what: str) -> list[np.ndarray]:
         if sum(sizes) != total or any(g <= 0 for g in sizes):
             raise SolverError(f"block sizes must be positive and sum to {total} for {what}")
     return np.split(np.arange(total), np.cumsum(sizes)[:-1]) if sizes else []
-
-
-def mm_parallel_step(inst: ProblemInstance, c: Coefficients, blocks,
-                     divergent: set | None = None, flags: dict | None = None) -> Coefficients:
-    """Simultaneous block update of the separable non-negative surrogate.
-
-    Every block minimizes its own term of the surrogate (independently,
-    from the shared current mean) via damped Newton; the mean is then
-    rescaled once for the combined step.  ``blocks`` holds each block's
-    column indices with its :class:`~ipscale.design.ColumnBlock`, built
-    once per fit.
-    """
-    if inst.design.kind == KIND_GENERAL:
-        raise SolverError("mm-parallel requires a non-negative design")
-    divergent = set() if divergent is None else divergent
-    X = inst.design
-    rowsum = X.abs_row_sums()
-    delta = np.zeros(X.n_cols)
-    for cols, Xk in blocks:
-        rows_k = Xk.matvec(np.ones(len(cols)))
-        # a row with no entry in the block never moves, so its weight is immaterial
-        r = np.divide(rowsum, rows_k, out=np.ones(X.n_rows), where=rows_k > 0.0)
-        d, ok = _surrogate_block_newton(Xk, inst.suff_stats[cols], c.mu, r)
-        if not ok and flags is not None:
-            flags["block_step_failures"] = flags.get("block_step_failures", 0) + 1
-        delta[cols] = d
-    _apply_sync_step(inst, c.beta, c.mu, _clamp(c.beta + delta, divergent))
-    return c
 
 
 def _surrogate_block_newton(Xk, sk, mu, r):
@@ -782,29 +687,105 @@ def _surrogate_block_newton(Xk, sk, mu, r):
 
 
 class _MMFamily(_RawState):
-    """One synchronized surrogate step of all coordinates per iteration."""
+    """One synchronized surrogate step of all coordinates per iteration.
+
+    Each variant works out a pinned target for every coordinate from the
+    current mean, and the mean is then rescaled once for the whole step:
+
+    * mm-binary and gis: the closed form beta + power * log(X^T n / X^T mu),
+      with power 1/p on a binary design and 1/R, R = max row sum, on a
+      non-negative one (Darroch & Ratcliff 1972);
+    * mm-general: per-coordinate exact minimization of the signed-design
+      surrogate (Lange, Hunter & Yang 2000), see :meth:`_general_delta`;
+    * mm-parallel: every block minimizes its own term of the separable
+      non-negative surrogate, from the shared current mean, by damped
+      Newton; each failed block solve is counted in
+      ``flags["block_step_failures"]``.
+
+    The design kind is checked before any set-up, and mm-parallel builds
+    each block's :class:`~ipscale.design.ColumnBlock` once per fit.
+    """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
-        super().__init__(inst, cfg, variant)
         X = inst.design
+        if variant == "mm-binary" and X.kind != KIND_BINARY:
+            raise SolverError("mm-binary requires a binary design")
+        if variant in ("gis", "mm-parallel") and X.kind == KIND_GENERAL:
+            raise SolverError(f"{variant} requires a non-negative design")
+        super().__init__(inst, cfg, variant)
+        # of the closed form of mm-binary and gis
+        self.power = 1.0 / (X.n_cols if variant == "mm-binary" else X.row_sum_max)
         if variant == "mm-parallel":
-            blocks = [(cols, X.column_block(cols))
-                      for cols in _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")]
-            self.update = lambda: mm_parallel_step(
-                inst, self.c, blocks, divergent=self.divergent, flags=self.flags)
-        else:
-            fn = {"mm-binary": mm_binary_step, "gis": gis_step, "mm-general": mm_general_step}[variant]
-            self.update = lambda: fn(inst, self.c, divergent=self.divergent)
+            self.blocks = [(cols, X.column_block(cols))
+                           for cols in _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")]
+            self.flags["block_step_failures"] = 0
         N, p = X.n_rows, X.n_cols
         self.step_work = 4.0 * X.nnz + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
 
     def step(self) -> str:
-        before = self.c.beta.copy()
-        failures = self.flags.get("block_step_failures", 0)
-        self.update()
+        X, beta, mu = self.inst.design, self.c.beta, self.c.mu
+        failures = 0
+        if self.variant == "mm-general":
+            target = _clamp(beta + self._general_delta(), self.divergent)
+        elif self.variant == "mm-parallel":
+            delta, failures = self._parallel_delta()
+            self.flags["block_step_failures"] += failures
+            target = _clamp(beta + delta, self.divergent)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                target, pinned = _scaling_update(beta, self.inst.suff_stats, X.rmatvec(mu), self.power)
+            self.divergent.update(np.flatnonzero(pinned).tolist())
+        moved = not np.array_equal(target, beta)
+        with np.errstate(over="ignore"):
+            mu *= np.exp(X.matvec(target - beta))
+        beta[:] = target
         self.work += self.step_work
-        return _step_outcome(not np.array_equal(self.c.beta, before),
-                             self.flags.get("block_step_failures", 0) != failures)
+        return _step_outcome(moved, failures > 0)
+
+    def _general_delta(self) -> np.ndarray:
+        """The signed-design step: for each column, with a = <x_j+, mu>,
+        b = <x_j, n>, c = <x_j-, mu>, solve a*u^2 - b*u - c = 0 for
+        u = exp(R * delta_j) and take the positive root; the boundary cases
+        push the coordinate to the clamp."""
+        X = self.inst.design
+        R = X.row_sum_max
+        Xp, Xn = X.pos_neg_parts()
+        a = Xp.T @ self.c.mu
+        b = self.inst.suff_stats
+        cc = Xn.T @ self.c.mu
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            root = (b + np.sqrt(b * b + 4.0 * a * cc)) / (2.0 * a)
+        delta = np.empty_like(b)
+        pos = a > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta[pos] = np.log(root[pos]) / R
+        zero_a = ~pos
+        neg_b = zero_a & (b < 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta[neg_b] = np.log(cc[neg_b] / (-b[neg_b])) / R
+        # a = 0 with b > 0, or a = b = 0 with mass on the negative part: the
+        # surrogate has no finite stationary point and the coordinate diverges up.
+        up = zero_a & ((b > 0.0) | ((b == 0.0) & (cc > 0.0)))
+        delta[up] = np.inf
+        rest = zero_a & ~neg_b & ~up
+        delta[rest] = 0.0
+        return delta
+
+    def _parallel_delta(self) -> tuple[np.ndarray, int]:
+        """The step of every block, each from the current mean, and the
+        number of block solves that failed."""
+        X, mu = self.inst.design, self.c.mu
+        rowsum = X.abs_row_sums()
+        delta = np.zeros(X.n_cols)
+        failures = 0
+        for cols, Xk in self.blocks:
+            rows_k = Xk.matvec(np.ones(len(cols)))
+            # a row with no entry in the block never moves, so its weight is immaterial
+            r = np.divide(rowsum, rows_k, out=np.ones(X.n_rows), where=rows_k > 0.0)
+            d, ok = _surrogate_block_newton(Xk, self.inst.suff_stats[cols], mu, r)
+            failures += not ok
+            delta[cols] = d
+        return delta, failures
 
 
 def mm_binary_fit(inst, cfg=None):
@@ -1267,11 +1248,9 @@ class _BipsFamily(_ProfiledState):
         self.rng = philox_rng(cfg.seed)
         self.flags.update(line_search_failures=0, newton_steps=0)
         self.floor = BIPS_FLOOR_ULPS * np.finfo(float).eps * (1.0 + self.total)
-        if cfg.track_block_objective:
-            self.diagnostics["block_objectives"] = []
 
     def step(self) -> str:
-        cfg, X, slope = self.cfg, self.inst.design, self.slope
+        X, slope = self.inst.design, self.slope
         before = slope.copy()
         failures = self.flags["line_search_failures"]
         g = self.record_grad
@@ -1298,8 +1277,6 @@ class _BipsFamily(_ProfiledState):
                     mu_new = mu_new * np.exp(Xk.matvec(extra))
             slope[cols] = new_vals
             self.mu_ring = mu_new
-            if cfg.track_block_objective:
-                self.diagnostics["block_objectives"].append(self.objective())
         return _step_outcome(not np.array_equal(slope, before),
                              self.flags["line_search_failures"] != failures)
 

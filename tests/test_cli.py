@@ -64,6 +64,32 @@ class TestFit:
         assert flags["line_search_failures"] == 0
         assert isinstance(flags["newton_steps"], int) and flags["newton_steps"] > 0
 
+    def test_parallel_solver_reports_no_failed_block_solves(self, tmp_path):
+        schema, counts = write_2x2_inputs(tmp_path)
+        out = tmp_path / "out"
+        code = run_cli("fit", "--counts", counts, "--schema", schema,
+                       "--solver", "mm-parallel", "--out-dir", str(out))
+        assert code == 0
+        flags = json.loads((out / "summary.json").read_text())["flags"]
+        assert flags["block_step_failures"] == 0
+
+    @pytest.mark.parametrize("solver", ["ips", "newton"])
+    def test_overflowing_start_exits_3(self, tmp_path, solver):
+        # every input is finite, but the mean at the start overflows: the
+        # run ends diverged on its start record, before any step
+        dpath, npath, qpath = (tmp_path / name for name in ("design.csv", "n.csv", "q.csv"))
+        dpath.write_text("row,col,value\n0,0,1\n0,1,1\n1,0,1\n2,0,1\n2,1,1\n")
+        npath.write_text("row,count\n0,3\n1,4\n2,5\n")
+        qpath.write_text("row,offset\n0,1e308\n1,1\n2,1e308\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("fit", "--design", str(dpath), "--counts-vec", str(npath),
+                           "--offset", str(qpath), "--solver", solver, "--out-dir", str(out))
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "diverged"
+        assert summary["iterations"] == 0
+
     def test_randomized_solver_lists_pinned_coordinates_as_integers(self, tmp_path):
         # the second column's cells hold no counts: its coefficient is pinned at -250
         schema, counts = write_2x2_inputs(tmp_path, counts=(10, 0, 50, 0))

@@ -294,6 +294,29 @@ class TestDriverContract:
         assert res.termination == _stop_reason(final, cfg)
         assert not any(_stop_reason(r, cfg) for r in earlier)
 
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_overflowing_start_ends_diverged_at_once(self, variant):
+        # every input is finite, but the mean at the start overflows, so the
+        # start's gradient does: the start record itself ends the run
+        X = DesignMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]]))
+        offset_start = ProblemInstance.from_counts(X, [3.0, 4.0, 5.0],
+                                                   offset=[1e308, 1.0, 1e308])
+        table = table_instance_3x3x3()
+        for inst, beta0 in ((offset_start, None), (table, np.full(table.n_cols, 250.0))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = solve(inst, SolverConfig(variant=variant, beta_init=beta0))
+            assert res.termination == "diverged"
+            assert [r.iteration for r in res.trace.records] == [0]
+
+    @pytest.mark.parametrize("limit, termination", [
+        ({"max_iters": 0}, "iter_limit"), ({"t_max_secs": 0.0}, "time_limit"),
+        ({"eps_tol": 1.0}, "tol_reached"),
+    ])
+    def test_start_record_meets_the_stopping_rule(self, limit, termination):
+        res = ips_fit(table_instance_3x3x3(), SolverConfig(variant="ips", **limit))
+        assert res.termination == termination
+        assert [r.iteration for r in res.trace.records] == [0]
+
     def test_warm_start_at_own_optimum_stops_after_one_sweep(self):
         # g0 is already at the float floor, so only the fixed-point exit can
         # end this run before the iteration cap

@@ -12,14 +12,12 @@ from ipscale.model import Coefficients, ProblemInstance
 from ipscale.solvers import (
     SolverConfig,
     SolverError,
+    _MMFamily,
     gis_fit,
-    gis_step,
     mm_binary_fit,
-    mm_binary_step,
     mm_general_fit,
-    mm_general_step,
     mm_parallel_fit,
-    mm_parallel_step,
+    solve,
 )
 from ipscale.surrogates import (
     surrogate_block,
@@ -41,13 +39,25 @@ def nll(inst, beta):
     return mdl.neg_log_likelihood(inst, Coefficients.from_beta(inst, beta))
 
 
+def mm_family(inst, variant, beta0=None, **cfg):
+    """The variant's family at beta0 (default 0), not yet stepped."""
+    return _MMFamily(inst, SolverConfig(variant=variant, beta_init=beta0, **cfg), variant)
+
+
+def one_step(inst, variant, beta0=None, **cfg):
+    """The variant's family after one step from beta0 (default 0)."""
+    fam = mm_family(inst, variant, beta0, **cfg)
+    fam.step()
+    return fam
+
+
 class TestStepSizes:
     def test_single_column_design_steps_coincide(self):
         X = DesignMatrix.from_dense(np.ones((5, 1)))
         inst = ProblemInstance.from_counts(X, [2.0, 3.0, 1.0, 4.0, 2.0])
         expected = np.log(inst.counts.sum() / 5.0)
-        c1 = mm_binary_step(inst, Coefficients.from_beta(inst, np.zeros(1)))
-        c2 = gis_step(inst, Coefficients.from_beta(inst, np.zeros(1)))
+        c1 = one_step(inst, "mm-binary").c
+        c2 = one_step(inst, "gis").c
         assert c1.beta[0] == pytest.approx(expected, rel=1e-14)
         assert c2.beta[0] == pytest.approx(expected, rel=1e-14)
 
@@ -61,25 +71,27 @@ class TestStepSizes:
         rng = make_rng(0)
         counts = rng.poisson(3.0, size=X.n_rows).astype(float) + 1.0
         inst = ProblemInstance.from_counts(X, counts)
-        cb = mm_binary_step(inst, Coefficients.from_beta(inst, np.zeros(102)))
-        cg = gis_step(inst, Coefficients.from_beta(inst, np.zeros(102)))
+        cb = one_step(inst, "mm-binary").c
+        cg = one_step(inst, "gis").c
         ratio = cg.beta / cb.beta
         assert np.allclose(ratio[np.abs(cb.beta) > 1e-12], 102.0 / 4.0, rtol=1e-10)
 
     def test_zero_statistic_clamps(self):
         arr = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
         inst = ProblemInstance.from_counts(DesignMatrix.from_dense(arr), [0.0, 0.0, 4.0])
-        div = set()
-        c = mm_binary_step(inst, Coefficients.from_beta(inst, np.zeros(2)), divergent=div)
-        assert c.beta[1] == -250.0
-        assert 1 in div
+        fam = one_step(inst, "mm-binary")
+        assert fam.c.beta[1] == -250.0
+        assert 1 in fam.divergent
+        res = solve(inst, SolverConfig(variant="mm-binary", max_iters=1))
+        assert res.beta[1] == -250.0
+        assert res.flags["divergent_coordinates"] == [1]
 
 
 class TestGeneralDesignStep:
     def test_reduces_to_rowsum_step_on_nonnegative(self):
         inst = random_nonneg_instance(31, n_rows=30, n_cols=5)
-        ca = gis_step(inst, Coefficients.from_beta(inst, np.zeros(5)))
-        cb = mm_general_step(inst, Coefficients.from_beta(inst, np.zeros(5)))
+        ca = one_step(inst, "gis").c
+        cb = one_step(inst, "mm-general").c
         assert np.allclose(ca.beta, cb.beta, rtol=1e-13, atol=1e-15)
 
     def test_balanced_positive_negative_mass_is_stationary(self):
@@ -87,19 +99,19 @@ class TestGeneralDesignStep:
         # the update's quadratic root is exactly 1, so the step is zero
         arr = np.array([[1.0, 1.0], [1.0, -1.0]])
         inst = ProblemInstance.from_counts(DesignMatrix.from_dense(arr), [1.0, 1.0])
-        c = mm_general_step(inst, Coefficients.from_beta(inst, np.zeros(2)))
+        c = one_step(inst, "mm-general").c
         assert c.beta[1] == 0.0
 
     def test_root_matches_scalar_root_finder(self):
         inst = random_general_instance(32, n_rows=25, n_cols=6)
         R = inst.design.row_sum_max
         Xp, Xn = inst.design.pos_neg_parts()
-        c = Coefficients.from_beta(inst, make_rng(5).normal(0, 0.3, size=6))
+        beta0 = make_rng(5).normal(0, 0.3, size=6)
+        c = Coefficients.from_beta(inst, beta0)
         a = Xp.T @ c.mu
         b = inst.suff_stats.copy()
         cc = Xn.T @ c.mu
-        stepped = mm_general_step(inst, Coefficients(c.beta.copy(), c.mu.copy()))
-        delta = stepped.beta - c.beta
+        delta = one_step(inst, "mm-general", beta0).c.beta - c.beta
         for j in range(6):
             root = brentq(lambda d: -b[j] + a[j] * np.exp(R * d) - cc[j] * np.exp(-R * d),
                           -50, 50, xtol=1e-14)
@@ -109,13 +121,14 @@ class TestGeneralDesignStep:
         inst = random_general_instance(33, n_rows=30, n_cols=6)
         R = inst.design.row_sum_max
         Xp, Xn = inst.design.pos_neg_parts()
-        c = Coefficients.from_beta(inst, np.zeros(6))
+        fam = mm_family(inst, "mm-general")
+        c = fam.c
         for _ in range(10):
             a = Xp.T @ c.mu
             b = inst.suff_stats
             cc = Xn.T @ c.mu
             before = c.beta.copy()
-            c = mm_general_step(inst, c)
+            fam.step()
             delta = c.beta - before
             resid = np.abs(-b + a * np.exp(R * delta) - cc * np.exp(-R * delta))
             assert np.all(resid <= 1e-10 * (a + np.abs(b) + cc))
@@ -124,12 +137,11 @@ class TestGeneralDesignStep:
         # a = 0 with b > 0: no finite stationary point, coordinate goes to +clamp
         arr = np.array([[1.0, -1.0], [1.0, 0.0]])
         inst = ProblemInstance.from_counts(DesignMatrix.from_dense(arr), [2.0, 1.0])
-        div = set()
-        c = Coefficients.from_beta(inst, np.zeros(2))
-        c.mu = np.array([0.0, 1.0])  # kill the negative column's mean mass
-        c = mm_general_step(inst, c, divergent=div)
-        assert c.beta[1] == -250.0 or c.beta[1] == 250.0
-        assert 1 in div
+        fam = mm_family(inst, "mm-general")
+        fam.c.mu = np.array([0.0, 1.0])  # kill the negative column's mean mass
+        fam.step()
+        assert fam.c.beta[1] == -250.0 or fam.c.beta[1] == 250.0
+        assert 1 in fam.divergent
 
 
 class TestParallelBlocks:
@@ -138,8 +150,7 @@ class TestParallelBlocks:
             inst = make(34, n_rows=25, n_cols=5)
             rowsum = inst.design.abs_row_sums()
             c0 = Coefficients.from_beta(inst, np.zeros(5))
-            blocks = [(np.array([j]), inst.design.column_block([j])) for j in range(5)]
-            stepped = mm_parallel_step(inst, Coefficients(c0.beta.copy(), c0.mu.copy()), blocks)
+            stepped = one_step(inst, "mm-parallel", block_sizes=(1,) * 5).c
             X = inst.design.toarray()
             for j in range(5):
                 s_j = inst.suff_stats[j]
@@ -153,8 +164,7 @@ class TestParallelBlocks:
     def test_whole_vector_block_identity_design_one_step(self):
         n = np.array([2.0, 5.0, 1.0, 3.0])
         inst = ProblemInstance.from_counts(DesignMatrix.from_dense(np.eye(4)), n)
-        c = mm_parallel_step(inst, Coefficients.from_beta(inst, np.zeros(4)),
-                             [(np.arange(4), inst.design.column_block(np.arange(4)))])
+        c = one_step(inst, "mm-parallel", block_sizes=(4,)).c
         assert np.allclose(c.mu, n, rtol=1e-12)
 
     def test_objective_non_increasing_across_fit(self):
@@ -168,6 +178,29 @@ class TestParallelBlocks:
         inst = random_general_instance(36)
         with pytest.raises(SolverError, match="non-negative"):
             mm_parallel_fit(inst, SolverConfig(variant="mm-parallel"))
+
+    @pytest.mark.parametrize("variant, make, match", [
+        ("mm-parallel", random_general_instance, "mm-parallel requires a non-negative design"),
+        ("gis", random_general_instance, "gis requires a non-negative design"),
+        ("mm-binary", random_nonneg_instance, "mm-binary requires a binary design"),
+    ])
+    def test_design_kind_checked_before_set_up(self, monkeypatch, variant, make, match):
+        inst = make(36)
+        built = []
+        monkeypatch.setattr(DesignMatrix, "column_block", lambda self, cols: built.append(cols))
+        monkeypatch.setattr(Coefficients, "from_beta",
+                            classmethod(lambda cls, inst, beta: built.append(beta)))
+        with pytest.raises(SolverError, match=match):
+            solve(inst, SolverConfig(variant=variant))
+        assert built == []
+
+    def test_healthy_fit_reports_no_failed_block_solves(self):
+        inst = random_nonneg_instance(35, n_rows=30, n_cols=6)
+        res = mm_parallel_fit(inst, SolverConfig(variant="mm-parallel", block_sizes=(3, 3)))
+        assert res.termination == "tol_reached"
+        assert res.flags["block_step_failures"] == 0
+        fam = mm_family(inst, "mm-parallel")
+        assert fam.flags["block_step_failures"] == 0  # reported before the first step
 
     def test_failed_subproblems_end_as_diverged(self):
         # every block's first Newton step overflows, so no step is accepted:
@@ -255,11 +288,11 @@ class TestSurrogateBounds:
 
     def test_descent_chain(self):
         inst = random_binary_instance(45, 25, 6)
-        c = Coefficients.from_beta(inst, np.zeros(6))
-        prev = nll(inst, c.beta)
+        fam = mm_family(inst, "mm-binary")
+        prev = nll(inst, fam.c.beta)
         for _ in range(50):
-            c = mm_binary_step(inst, c)
-            cur = nll(inst, c.beta)
+            fam.step()
+            cur = nll(inst, fam.c.beta)
             assert cur <= prev + 1e-9 * (1.0 + abs(prev))
             prev = cur
 

@@ -7,6 +7,7 @@ import pytest
 
 from ipscale import harness
 from ipscale import model as mdl
+from ipscale import solvers
 from ipscale.design import DesignMatrix, TableSchema, build_raking_design, build_table_design
 from ipscale.harness import ExperimentSpec
 from ipscale.model import ProblemInstance
@@ -341,13 +342,23 @@ class TestBlockSolver:
         assert res.trace.final().iteration >= 3
         assert len(calls) == len(res.trace.records)
 
-    def test_objective_non_increasing_per_block(self):
+    def test_objective_non_increasing_per_block(self, monkeypatch):
+        # the objective before each block solve, and after the last sweep
         inst = random_general_instance(64, 30, 7)
-        cfg = SolverConfig(variant="b-ips", eps_tol=1e-8, block_sizes=(2, 2, 2),
-                           seed=2, track_block_objective=True)
-        res = bips_fit(inst, cfg)
-        vals = res.diagnostics["block_objectives"]
-        assert len(vals) >= 3
+        cfg = SolverConfig(variant="b-ips", block_sizes=(2, 2, 2), seed=2)
+        fam = solvers._BipsFamily(inst, cfg, "b-ips")
+        vals, solve_block = [], solvers._block_newton_profiled
+
+        def spy(*args):
+            vals.append(fam.objective())
+            return solve_block(*args)
+
+        monkeypatch.setattr(solvers, "_block_newton_profiled", spy)
+        for _ in range(20):
+            fam.step()
+        vals.append(fam.objective())
+        assert len(vals) == 61
+        assert vals[-1] < vals[0]
         assert np.all(np.diff(vals) <= 1e-9 * (1.0 + np.abs(vals[:-1])))
 
     def test_block_sizes_validated(self):
