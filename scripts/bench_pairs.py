@@ -6,7 +6,9 @@ Usage: python scripts/bench_pairs.py PARENT CHANGE OUT.json
            [--claim WORKLOAD/METRIC ...]
 
 PARENT and CHANGE are two checkouts of this repository, each with its own
-``perfbench/`` and ``src/``.  For every workload and seed, the script runs
+``perfbench/`` and ``src/``.  The workloads are those given by ``--workload``,
+by default every workload that PARENT's ``BENCHMARK.json`` lists.  For
+every workload and seed, the script runs
 ``perfbench/run.py --workload W --seed S --trace 0`` in both, the parent
 first on odd seeds and the change first on even ones, and keeps the JSON
 result line of each run.  Then it makes one traced run (``--trace 1``,
@@ -16,7 +18,7 @@ quartiles, the number of pairs the change won (ties count for neither) and
 the parent's interquartile range, the spread a claimed gain must exceed.
 
 The end-to-end metrics, whether lower or higher is better, and their
-bounds are read from PARENT's ``BENCHMARK.json``.  OUT.json also holds a
+bounds are read from the same file.  OUT.json also holds a
 verdict per workload and metric, which the script prints:
 
 * ``gain`` for a claimed metric (``--claim``) that the change won in at least
@@ -78,14 +80,17 @@ def main() -> None:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("out", type=Path)
-    ap.add_argument("--workload", action="append", default=None)
+    ap.add_argument("--workload", action="append", default=None,
+                    help="workload to run; repeat for several (default: every workload "
+                         "in PARENT's BENCHMARK.json)")
     ap.add_argument("--seeds", type=int, nargs=2, default=(1, 10), metavar=("FIRST", "LAST"))
     ap.add_argument("--traced", action="append", default=[])
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC")
     args = ap.parse_args()
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
     names = {m["name"] for m in metrics}
-    workloads = args.workload or ["table-cd"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     claims = {tuple(c.split("/", 1)) for c in args.claim}
     for c in claims:
         if len(c) != 2 or c[0] not in workloads or c[1] not in names:

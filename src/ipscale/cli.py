@@ -30,6 +30,7 @@ from .design import (
 from .harness import HarnessError
 from .model import ModelError, ProblemInstance
 from .solvers import (
+    DIVERGED,
     TOL_REACHED,
     FitResult,
     SolverConfig,
@@ -164,8 +165,9 @@ def _write_summary(path, res: FitResult, inst: ProblemInstance, extra: dict | No
         "flags": res.flags,
     }
     if inst.counts is not None:
-        out["g_squared"] = mdl.g_squared(inst.counts, res.mu)
-        out["pearson_x2"] = mdl.pearson_x2(inst.counts, res.mu)
+        fitted = res.termination != DIVERGED  # a diverged mean may have overflowed
+        out["g_squared"] = mdl.g_squared(inst.counts, res.mu) if fitted else None
+        out["pearson_x2"] = mdl.pearson_x2(inst.counts, res.mu) if fitted else None
     if extra:
         out.update(extra)
     write_json(path, out)

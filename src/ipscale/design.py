@@ -144,15 +144,8 @@ class TableSchema:
 
 
 def _dense(A) -> np.ndarray:
-    """A design matrix, or a slice or product of one, as a dense array."""
+    """A design matrix, or a slice of one, as a dense array."""
     return A.toarray() if sp.issparse(A) else np.ascontiguousarray(A)
-
-
-def _c_contiguous(A):
-    """A slice of a design matrix in its storage, C-contiguous when dense:
-    numpy returns ``arr[:, cols]`` in Fortran order, and products of such a
-    block would sum in another order."""
-    return A if sp.issparse(A) else np.ascontiguousarray(A)
 
 
 def nnz(A) -> float:
@@ -187,8 +180,9 @@ class DesignMatrix:
     made by kind in :meth:`_from_matrix` alone.
     The products use only operators both storages share, so callers never
     see which one it is.  ``csc`` and ``dense`` are read-only views of
-    ``matrix`` for the storage it has.  Immutable after construction; all
-    accessors are read-only and safe to share across workers.
+    ``matrix`` for the storage it has.  Immutable after construction but for
+    the views of its CSC indices that :meth:`disjoint_runs` caches: no accessor
+    keeps a copy, and all are read-only and safe to share across workers.
     """
 
     def __init__(self, matrix, kind: str, labels=None):
@@ -206,7 +200,6 @@ class DesignMatrix:
         self.has_intercept = bool(np.all(_dense(matrix[:, [0]]) == 1.0))
         self._slope = _slope_view(matrix)
         self._transpose = matrix.T
-        self._pos_neg = None
         self._runs = None
 
     # -- constructors -----------------------------------------------------
@@ -341,8 +334,10 @@ class DesignMatrix:
         return self.matvec(ones)
 
     def submatrix(self, cols):
-        """Column subset, in the design's storage."""
-        return _c_contiguous(self.matrix[:, np.asarray(cols, dtype=np.int64)])
+        """Column subset, in the design's storage; C-contiguous when dense, as
+        products of the Fortran-ordered ``arr[:, cols]`` would sum in another order."""
+        M, cols = self.matrix, np.asarray(cols, dtype=np.int64)
+        return M[:, cols] if sp.issparse(M) else np.take(M, cols, axis=1)
 
     def column_block(self, cols) -> "ColumnBlock":
         """Column subset as an operator for repeated products and Grams."""
@@ -356,22 +351,21 @@ class DesignMatrix:
     def pos_neg_parts(self):
         """(positive part, negative part) of the matrix, both >= 0.  Unless the
         design is signed they are the matrix itself and an all-zero CSC array,
-        so a binary design stays sparse; a signed design's parts are dense."""
-        if self._pos_neg is None:
-            arr = self.matrix
-            if self.kind == KIND_GENERAL:
-                self._pos_neg = (np.where(arr > 0, arr, 0.0), np.where(arr < 0, -arr, 0.0))
-            else:
-                self._pos_neg = (arr, sp.csc_array(arr.shape))
-        return self._pos_neg
+        so a binary design stays sparse; a signed design's parts are two new
+        dense arrays on every call, which only the caller keeps."""
+        arr = self.matrix
+        if self.kind != KIND_GENERAL:
+            return arr, sp.csc_array(arr.shape)
+        neg = np.subtract(0.0, arr, out=np.zeros_like(arr), where=arr < 0)
+        return np.where(arr > 0, arr, 0.0), neg
 
     def weighted_gram(self, w: np.ndarray) -> np.ndarray:
         """Dense X^T diag(w) X."""
-        return gram(self.matrix, w)
+        return ColumnBlock(self.matrix).gram(w)
 
     def gram_slope(self) -> np.ndarray:
         """Dense X[:,1:]^T X[:,1:]."""
-        return gram(self._slope)
+        return ColumnBlock(self._slope).gram()
 
     def col_sums(self) -> np.ndarray:
         return self.rmatvec(np.ones(self.n_rows))
@@ -381,15 +375,10 @@ class DesignMatrix:
         return DesignMatrix._from_matrix(self.matrix[np.asarray(keep), :], self.column_labels)
 
 
-def gram(A, w: np.ndarray | None = None) -> np.ndarray:
-    """Dense A^T diag(w) A of a design matrix or column block (A^T A without w)."""
-    return _dense(A.T @ (A if w is None else w[:, None] * A))
-
-
 class ColumnBlock:
-    """A column block of a design, in its storage, built once and then used
-    for several products: b-ips takes a few Newton steps on every block it
-    visits, and mm-parallel keeps its blocks for the whole fit.
+    """A column block of a design, in its storage, and the one place a Gram
+    is taken: b-ips and mm-parallel use a block for several products, and the
+    design's own Grams wrap its matrix or its slope view in a block per call.
 
     On a sparse block, which is binary, ``gram(w)`` is one numeric pass of
     scipy's sparse product, with no symbolic pass to size its output: a
@@ -399,8 +388,9 @@ class ColumnBlock:
     is a row-major copy of the block, made at the first Gram (a block whose
     first gradient check already passes makes none) and never written.
     Each entry sums its rows' weights in ascending row order, times 1, as
-    the sparse product of :func:`gram` does, so both give the same bits.
-    On a dense block ``gram`` is :func:`gram`.
+    scipy's ``S.T @ (w[:, None] * S)`` does, so both give the same bits.
+    On a dense block ``gram`` is that product in BLAS; without ``w`` either
+    is block^T block.  The design keeps no block and no copy of its own.
     """
 
     def __init__(self, matrix):
@@ -420,16 +410,20 @@ class ColumnBlock:
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         return self._transpose @ v
 
-    def gram(self, w: np.ndarray) -> np.ndarray:
-        """Dense block^T diag(w) block."""
-        if not sp.issparse(self.matrix):
-            return gram(self.matrix, w)
-        M, R, g = self.matrix, self._row_major, self.shape[1]
-        indptr, indices = np.empty(g + 1, M.indices.dtype), np.empty(g * g, M.indices.dtype)
-        data = np.empty(g * g)
-        # scipy's private numeric kernel, the second pass of `@`: its first
-        # pass only sizes an output that cannot exceed g^2 entries
-        _sparsetools.csr_matmat(g, g, M.indptr, M.indices, w[M.indices],
+    def gram(self, w: np.ndarray | None = None) -> np.ndarray:
+        """Dense block^T diag(w) block (block^T block without ``w``)."""
+        M = self.matrix
+        if not sp.issparse(M):
+            return self._transpose @ (M if w is None else w[:, None] * M)
+        R, g = self._row_major, self.shape[1]
+        # scipy's private numeric kernel, the second pass of `@`; its first
+        # pass only sizes the output, so it runs only past 64 MB of g^2 buffers
+        size = g * g
+        if size > 1 << 22:
+            size = _sparsetools.csr_matmat_maxnnz(g, g, M.indptr, M.indices, R.indptr, R.indices)
+        indptr, indices = np.empty(g + 1, M.indices.dtype), np.empty(size, M.indices.dtype)
+        data = np.empty(size)
+        _sparsetools.csr_matmat(g, g, M.indptr, M.indices, M.data if w is None else w[M.indices],
                                 R.indptr, R.indices, R.data, indptr, indices, data)
         out = np.zeros((g, g))
         _sparsetools.csr_todense(g, g, indptr, indices, data, out)

@@ -179,7 +179,8 @@ class Coefficients:
 
 def neg_log_likelihood(inst: ProblemInstance, c: Coefficients) -> float:
     """-<s, beta> + sum(mu); +inf sentinel on exp overflow."""
-    total_mu = float(c.mu.sum())
+    with np.errstate(over="ignore"):
+        total_mu = float(c.mu.sum())
     if not np.isfinite(total_mu):
         return np.inf
     return float(-inst.suff_stats @ c.beta + total_mu)

@@ -702,8 +702,8 @@ class _MMFamily(_RawState):
       Newton; each failed block solve is counted in
       ``flags["block_step_failures"]``.
 
-    The design kind is checked before any set-up, and mm-parallel builds
-    each block's :class:`~ipscale.design.ColumnBlock` once per fit.
+    The design kind is checked before any set-up; mm-parallel builds each
+    block's :class:`~ipscale.design.ColumnBlock`, mm-general X+ and X-, once per fit.
     """
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
@@ -719,6 +719,7 @@ class _MMFamily(_RawState):
             self.blocks = [(cols, X.column_block(cols))
                            for cols in _auto_blocks(X.n_cols, cfg.block_sizes, what="mm-parallel")]
             self.flags["block_step_failures"] = 0
+        self.parts = X.pos_neg_parts() if variant == "mm-general" else None
         N, p = X.n_rows, X.n_cols
         self.step_work = 4.0 * X.nnz + 4.0 * N if variant != "mm-general" else 4.0 * N * p + 4.0 * N
 
@@ -749,7 +750,7 @@ class _MMFamily(_RawState):
         push the coordinate to the clamp."""
         X = self.inst.design
         R = X.row_sum_max
-        Xp, Xn = X.pos_neg_parts()
+        Xp, Xn = self.parts
         a = Xp.T @ self.c.mu
         b = self.inst.suff_stats
         cc = Xn.T @ self.c.mu

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -82,13 +83,16 @@ class TestFit:
         npath.write_text("row,count\n0,3\n1,4\n2,5\n")
         qpath.write_text("row,offset\n0,1e308\n1,1\n2,1e308\n")
         out = tmp_path / "o"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run_cli("fit", "--design", str(dpath), "--counts-vec", str(npath),
                            "--offset", str(qpath), "--solver", solver, "--out-dir", str(out))
         assert code == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] == "diverged"
         assert summary["iterations"] == 0
+        # the unfitted mean's statistics are not reported
+        assert summary["g_squared"] is None and summary["pearson_x2"] is None
 
     def test_randomized_solver_lists_pinned_coordinates_as_integers(self, tmp_path):
         # the second column's cells hold no counts: its coefficient is pinned at -250

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipscale import model as mdl
 from ipscale.design import (
     DesignError,
     DesignMatrix,
@@ -18,11 +19,11 @@ from ipscale.design import (
     build_raking_design,
     build_table_design,
     expected_column_count,
-    gram,
     nnz,
     read_triplet_csv,
     write_triplet_csv,
 )
+from ipscale.model import ProblemInstance
 
 from conftest import make_rng, random_run_design
 
@@ -501,6 +502,48 @@ class TestDesignContract:
         assert Y.column_labels == design.column_labels
 
 
+def test_negative_part_has_no_negative_zero():
+    A = np.array([[1.0, -0.0, 2.5], [1.0, -1.5, 0.0], [1.0, 3.0, -2.0]])
+    X = DesignMatrix.from_dense(A)
+    assert X.kind == "general"
+    pos, neg = X.pos_neg_parts()
+    assert neg.tobytes() == np.where(A < 0, -A, 0.0).tobytes()
+    assert pos.tobytes() == np.where(A > 0, A, 0.0).tobytes()
+
+
+def test_design_grams_equal_the_reference_exactly():
+    schema = TableSchema(factors=(("a", 3), ("b", 4), ("c", 2)), interaction_order=2)
+    rng = make_rng(41)
+    inst = ProblemInstance.from_counts(build_table_design(schema),
+                                       rng.poisson(5.0, size=schema.n_cells) + 1.0)
+    X = inst.design
+    assert X.kind == "binary"
+    w = rng.uniform(0.1, 3.0, size=X.n_rows)
+    assert np.array_equal(X.weighted_gram(w), reference_gram(X.matrix, w))
+    assert np.array_equal(X.gram_slope(), reference_gram(X.matrix[:, 1:]))
+    slope = rng.normal(0.0, 0.5, size=X.n_cols - 1)
+    weights, _ = mdl._offset_softmax(inst, X.slope_matvec(slope))
+    for cols in (rng.choice(X.n_cols - 1, size=5, replace=False), None):
+        S = X.submatrix(np.arange(1, X.n_cols) if cols is None else cols + 1)
+        u = S.T @ weights
+        want = inst.total_count * (reference_gram(S, weights) - np.outer(u, u))
+        assert np.array_equal(mdl.reparam_hessian(inst, slope, cols=cols), want)
+
+
+def test_large_sparse_gram_is_sized_by_its_entries():
+    # 3438^2 slope pairs, of which 3.4% meet in a cell: buffers for all of
+    # them would take twice the dense Gram again
+    X = build_table_design(TableSchema(tuple((f"f{i}", 10) for i in range(4)), 3))
+    tracemalloc.start()
+    try:
+        G = X.gram_slope()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * G.nbytes, f"{peak} bytes"
+    assert np.array_equal(G, reference_gram(X.matrix[:, 1:]))
+
+
 def test_binary_pos_neg_parts_stay_sparse_in_memory():
     # the moderate table's dense parts would take 2 x 41.8 MB
     X = build_table_design(TableSchema(tuple((f"f{i}", 10) for i in range(4)), 2))
@@ -529,6 +572,13 @@ def _binary_blocks(draw):
     return DesignMatrix.from_dense(arr), np.array(cols)
 
 
+def reference_gram(S, w=None):
+    """S^T diag(w) S (S^T S without w): scipy's sparse product, densified, on
+    a sparse block, and BLAS on a dense one."""
+    G = S.T @ (S if w is None else w[:, None] * S)
+    return G.toarray() if sp.issparse(G) else G
+
+
 def _block_products(X, cols, seed):
     rng = make_rng(seed)
     w = rng.uniform(0.1, 3.0, size=X.n_rows)
@@ -536,7 +586,7 @@ def _block_products(X, cols, seed):
     S = X.submatrix(cols)
     blk = X.column_block(cols)
     got = (blk.gram(w), blk.matvec(d), blk.rmatvec(v))
-    want = (gram(S, w), S @ d, S.T @ v)
+    want = (reference_gram(S, w), S @ d, S.T @ v)
     return blk, S, got, want
 
 
@@ -579,7 +629,7 @@ class TestColumnBlock:
         copies = []
         for _ in range(3):
             w = rng.uniform(0.1, 3.0, size=3)
-            assert np.array_equal(blk.gram(w), gram(S, w))
+            assert np.array_equal(blk.gram(w), reference_gram(S, w))
             copies.append(blk.__dict__["_row_major"])
             assert np.array_equal(copies[-1].data, np.ones(S.nnz))
         assert all(c is copies[0] for c in copies)

@@ -1,5 +1,7 @@
 """Synchronized multiplicative updates and their surrogate bounds."""
 
+import gc
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -142,6 +144,31 @@ class TestGeneralDesignStep:
         fam.step()
         assert fam.c.beta[1] == -250.0 or fam.c.beta[1] == 250.0
         assert 1 in fam.divergent
+
+
+    def test_signed_parts_live_for_one_fit(self, monkeypatch):
+        # the dense parts of a signed design belong to the fit, not to the design
+        inst = random_general_instance(34, n_rows=40, n_cols=6)
+        X = inst.design
+        assert X.kind == "general"
+        taken, real = [], DesignMatrix.pos_neg_parts
+
+        def pos_neg_parts(self):
+            parts = real(self)
+            taken.extend(weakref.ref(a) for a in parts)
+            return parts
+
+        monkeypatch.setattr(DesignMatrix, "pos_neg_parts", pos_neg_parts)
+        res = solve(inst, SolverConfig(variant="mm-general", max_iters=5))
+        assert len(taken) == 2
+        copies = [name for name, value in vars(X).items()
+                  for a in (value if isinstance(value, (tuple, list)) else [value])
+                  if isinstance(a, np.ndarray) and a.size == X.matrix.size
+                  and not np.shares_memory(a, X.matrix)]
+        assert copies == []
+        del res
+        gc.collect()
+        assert [ref() for ref in taken] == [None, None]
 
 
 class TestParallelBlocks:
