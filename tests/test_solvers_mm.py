@@ -145,7 +145,6 @@ class TestGeneralDesignStep:
         assert fam.c.beta[1] == -250.0 or fam.c.beta[1] == 250.0
         assert 1 in fam.divergent
 
-
     def test_signed_parts_live_for_one_fit(self, monkeypatch):
         # the dense parts of a signed design belong to the fit, not to the design
         inst = random_general_instance(34, n_rows=40, n_cols=6)
