@@ -27,6 +27,12 @@ on a grouped table and on a triplet design with an offset, ``rake``,
 ``path``, ``bench`` and ``gen``.  Each command's output files are copied to
 ``cli-<name>/`` with its exit code, except the measured wall time:
 ``wall_times.json`` and the ``wall_seconds`` line of ``summary.json``.
+Then it runs ``fit`` on malformed inputs, one per rule of the keyed-record
+check (a header lacking a column, a record that does not parse, a key out
+of range, a key repeated out of key order, a non-finite value), once in
+the count vector and once in the triplet design, and writes each exit code
+and stderr, the temporary directory cut from its paths, to
+``cli-errors/<vector|triplet>-<rule>.txt``.
 
 Last, ``designs.txt`` pins the table builders at full scale: for
 ``build_table_design`` on the 10^4 x 523 and 10^5 x 8146 tables, the
@@ -42,6 +48,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -263,6 +270,50 @@ def _run_cli(out: Path) -> None:
             print(out / f"cli-{name}", flush=True)
 
 
+# One malformed file per keyed-record rule, read by ``fit`` beside a
+# well-formed design or count vector of three rows.
+_GOOD_DESIGN = "row,col,value\n0,0,1\n1,0,1\n2,0,1\n1,1,1\n"
+_GOOD_VECTOR = "row,count\n0,3\n1,4\n2,5\n"
+_BAD_INPUTS = {
+    "vector": {
+        "header": "row,n\n0,3\n1,4\n2,5\n",
+        "record": "row,count\n0,3\n1.5,4\n2,5\n",
+        "range": "row,count\n0,3\n1,4\n3,5\n",
+        "repeat": "row,count\n1,4\n0,3\n1,4\n0,3\n2,5\n",
+        "nonfinite": "row,count\n0,3\n1,nan\n2,5\n",
+    },
+    "triplet": {
+        "header": "row,col,val\n0,0,1\n1,0,1\n2,0,1\n",
+        "record": "row,col,value\n0,0,1\n1,x,1\n2,0,1\n",
+        "range": "row,col,value\n0,0,1\n-1,0,1\n2,0,1\n",
+        "repeat": "row,col,value\n1,1,1\n0,0,1\n1,1,1\n0,0,1\n0,1,1\n1,0,1\n",
+        "nonfinite": "row,col,value\n0,0,1\n1,0,1\n2,0,1\n1,1,inf\n",
+    },
+}
+
+
+def _run_cli_errors(out: Path) -> None:
+    """``fit`` on each malformed input: its exit code and stderr."""
+    from ipscale.cli import main as cli_main
+
+    dst = out / "cli-errors"
+    dst.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv = ["fit", "--design", str(work / "design.csv"), "--counts-vec", str(work / "n.csv"),
+                "--out-dir", str(work / "out")]
+        for kind, cases in _BAD_INPUTS.items():
+            for rule, text in cases.items():
+                (work / "design.csv").write_text(text if kind == "triplet" else _GOOD_DESIGN)
+                (work / "n.csv").write_text(text if kind == "vector" else _GOOD_VECTOR)
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli_main(argv)
+                path = dst / f"{kind}-{rule}.txt"
+                path.write_text(f"exit {code}\n" + err.getvalue().replace(f"{work}{os.sep}", ""))
+                print(path, flush=True)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -324,6 +375,7 @@ def main() -> None:
                 path.write_text(_fit_text(inst, variant, beta_init, every))
                 print(path, flush=True)
     _run_cli(out)
+    _run_cli_errors(out)
     _write_designs(out / "designs.txt")
     print(out / "designs.txt", flush=True)
 

@@ -1,11 +1,12 @@
-"""The CSV reader and writer, the JSON reader and writer.
+"""The CSV reader and writer, the one check of keyed CSVs, the JSON I/O.
 
 A CSV has a header row.  The reader parses the columns it is asked for with
 numpy's C tokenizer, all records at once; the writer formats a bounded
 chunk of rows at a time, writes every float with 17 significant digits, so
 a round trip is lossless, and ends every line with CRLF, as ``csv.writer``
-does.  A JSON file is indented by two spaces, has sorted keys and ends with
-a newline, so equal objects give equal bytes.
+does.  A JSON file is indented by two spaces, has sorted keys, holds
+``null`` for a non-finite float and ends with a newline, so equal objects
+give equal bytes.
 
 The accepted CSV dialect is that of ``csv.reader`` with ``int`` and
 ``float`` on the fields: spaces around a field, a leading ``+``, quoted
@@ -82,19 +83,25 @@ def read_csv_header(path, error) -> list[str]:
         return _header(fh, path, error)[0]
 
 
-def read_csv_columns(path, error, int_cols, float_cols, record: str = "record"):
-    """Integer and float columns of a CSV's records, given by field index.
+def read_keyed_csv(path, error, keys, value_name: str, base: int, record: str = "record",
+                   nonnegative: bool = False):
+    """The key columns and the values of records keyed by integer columns.
 
-    Returns one list of int64 arrays and one of float64 arrays, in the order
-    of ``int_cols`` and ``float_cols``, one entry per non-empty record in
-    file order.  A record that does not parse raises ``error`` naming its
-    line, as ``{path}:{line}: bad {record}: ...``.
+    ``keys`` lists ``(column, n_levels)`` pairs; the key and ``value_name``
+    columns are found by header name.  A key holds levels ``base .. base +
+    n_levels - 1``, or ``base`` up if ``n_levels`` is None.  A record that
+    does not parse is a ``bad {record}``; the file must hold a record, and
+    every key must be in range and every value finite, and non-negative if
+    ``nonnegative``.  ``error`` names the line of the first bad record.
     """
-    cols = [*int_cols, *float_cols]
-    dtype = np.dtype([(f"c{k}", np.int64 if k < len(int_cols) else np.float64)
-                      for k in range(len(cols))])
+    names = [n for n, _ in keys] + [value_name]
+    dtype = np.dtype([(f"c{k}", np.int64) for k in range(len(keys))] + [("v", np.float64)])
     with _utf8_text(path, error) as fh:
-        header_lines = _header(fh, path, error)[1]
+        header, header_lines = _header(fh, path, error)
+        try:
+            cols = [header.index(n) for n in names]
+        except ValueError as exc:
+            raise error(f"{path}:1: header must contain {names}: {exc}") from exc
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file of no records
@@ -105,12 +112,25 @@ def read_csv_columns(path, error, int_cols, float_cols, record: str = "record"):
         except UnicodeDecodeError:
             raise  # a ValueError too, but _utf8_text names its line
         except ValueError as exc:
-            where = _first_bad_record(path, int_cols, float_cols)
+            where = _first_bad_record(path, cols[:-1], cols[-1:])
             if where is None:
                 raise error(f"{path}: bad {record}: {exc}") from exc
             raise error(f"{path}:{where[0]}: bad {record}: {where[1]}") from exc
-    fields = [data[name] for name in dtype.names]
-    return fields[:len(int_cols)], fields[len(int_cols):]
+    key_cols, values = [data[f"c{k}"] for k in range(len(keys))], data["v"]
+    if not len(values):
+        raise error(f"{path}: no data rows")
+    for (name, m), levels in zip(keys, key_cols):
+        outside = (levels < base) if m is None else (levels < base) | (levels >= base + m)
+        if outside.any():
+            i, top = np.argmax(outside), "" if m is None else base + m - 1
+            raise error(f"{path}:{_record_line(path, i)}: {name} level {levels[i]} "
+                        f"out of range {base}..{top}")
+    bad = ~(np.isfinite(values) & (values >= 0)) if nonnegative else ~np.isfinite(values)
+    if bad.any():
+        i, rule = np.argmax(bad), " and non-negative" if nonnegative else ""
+        raise error(f"{path}:{_record_line(path, i)}: {value_name} {values[i]} "
+                    f"must be finite{rule}")
+    return key_cols, values
 
 
 def _plain_int(text: str) -> int:
@@ -159,9 +179,9 @@ def _first_bad_record(path, int_cols, float_cols):
     return None
 
 
-def record_line(path, record: int) -> int:
+def _record_line(path, record: int) -> int:
     """The line a record starts on, the records counted as
-    :func:`read_csv_columns` counts them: record 0 is the first non-empty
+    :func:`read_keyed_csv` counts them: record 0 is the first non-empty
     record after the header.
 
     A locator, not a parser: it runs only after a check has rejected the
@@ -169,6 +189,24 @@ def record_line(path, record: int) -> int:
     """
     with open(path, encoding="utf-8", newline="") as fh:
         return next(itertools.islice(_records(fh), int(record), None))[0]
+
+
+def flat_keys(path, error, keys, key_cols, base: int) -> np.ndarray:
+    """Each record's row-major index over the in-range ``key_cols`` of
+    :func:`read_keyed_csv`.  The first record, in file order, that repeats
+    an earlier one's key raises ``error`` naming both lines."""
+    flat = np.zeros(len(key_cols[0]), dtype=np.int64)
+    for (_, m), levels in zip(keys, key_cols):
+        flat = flat * m + (levels - base)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        first = np.flatnonzero(flat == flat[i])[0]
+        key = ", ".join(f"{name}={levels[i]}" for (name, _), levels in zip(keys, key_cols))
+        raise error(f"{path}:{_record_line(path, i)}: {key} "
+                    f"repeats line {_record_line(path, first)}")
+    return flat
 
 
 # -- writing ------------------------------------------------------------------
@@ -218,10 +256,19 @@ def write_csv(path, header, columns) -> None:
 # -- JSON ---------------------------------------------------------------------
 
 
+def _json_value(obj):
+    """``obj`` with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    return None if isinstance(obj, (float, np.floating)) and not np.isfinite(obj) else obj
+
+
 def write_json(path, obj) -> None:
     """Write ``obj`` as JSON; numpy scalars and other non-JSON numbers go through ``float``."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_json_value(obj), fh, indent=2, sort_keys=True, default=float, allow_nan=False)
         fh.write("\n")
 
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import harness, model as mdl
-from ._io import read_csv_columns, read_csv_header, record_line, write_csv, write_json
+from ._io import flat_keys, read_csv_header, read_keyed_csv, write_csv, write_json
 from .design import (
     DesignError,
     EmptyColumnError,
@@ -52,52 +52,12 @@ class InputError(ValueError):
 # -- input readers ------------------------------------------------------------
 
 
-def _key_text(names, levels) -> str:
-    return ", ".join(f"{n}={int(v)}" for n, v in zip(names, levels))
-
-
 def _read_keyed_csv(path, keys, value_name: str, base: int):
-    """Records keyed by integer columns, each with one value.
-
-    ``keys`` lists ``(column, n_levels)`` pairs; a key column holds levels
-    ``base .. base + n_levels - 1``.  Returns the key levels (one row per
-    record), the values and each record's row-major flat index over the
-    keys, all in file order.  Every key must be in range and listed at most
-    once, and every value must be finite and non-negative.
-    """
-    names = [n for n, _ in keys]
-    header = read_csv_header(path, InputError)
-    try:
-        cols = [header.index(n) for n in names]
-        val_col = header.index(value_name)
-    except ValueError as exc:
-        raise InputError(
-            f"{path}:1: header must contain {names + [value_name]}: {exc}") from exc
-    key_cols, (values,) = read_csv_columns(path, InputError, cols, [val_col])
-    if not len(values):
-        raise InputError(f"{path}: no data rows")
-    levels = np.column_stack(key_cols)
-    flat = np.zeros(len(values), dtype=np.int64)
-    for k, (name, m) in enumerate(keys):
-        outside = np.flatnonzero((levels[:, k] < base) | (levels[:, k] >= base + m))
-        if outside.size:
-            i = outside[0]
-            raise InputError(f"{path}:{record_line(path, i)}: {name} level "
-                             f"{levels[i, k]} out of range {base}..{base + m - 1}")
-        flat = flat * m + (levels[:, k] - base)
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-    if repeats.size:
-        i = repeats.min()
-        first = np.flatnonzero(flat == flat[i])[0]
-        raise InputError(f"{path}:{record_line(path, i)}: {_key_text(names, levels[i])} "
-                         f"repeats line {record_line(path, first)}")
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-    if bad.size:
-        i = bad[0]
-        raise InputError(f"{path}:{record_line(path, i)}: {value_name} {values[i]} "
-                         "must be finite and non-negative")
-    return levels, values, flat
+    """A keyed CSV of non-negative values, checked as ``_io`` checks keyed
+    records: its key levels (one row per record), values and row-major flat
+    keys, all in file order."""
+    key_cols, values = read_keyed_csv(path, InputError, keys, value_name, base, nonnegative=True)
+    return np.column_stack(key_cols), values, flat_keys(path, InputError, keys, key_cols, base)
 
 
 def _read_complete_csv(path, keys, value_name: str, base: int):
@@ -109,7 +69,8 @@ def _read_complete_csv(path, keys, value_name: str, base: int):
     if len(flat) != n_keys:
         missing = np.setdiff1d(np.arange(n_keys), flat)[0]
         key = np.array(np.unravel_index(missing, sizes)) + base
-        raise InputError(f"{path}: no record for {_key_text([n for n, _ in keys], key)}")
+        text = ", ".join(f"{n}={v}" for (n, _), v in zip(keys, key))
+        raise InputError(f"{path}: no record for {text}")
     dense = np.empty(n_keys)
     dense[flat] = values
     return values, dense

@@ -36,8 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from ._io import (
-    fmt, read_csv_columns, read_csv_header, read_json, record_line, write_csv, write_json)
+from ._io import fmt, flat_keys, read_json, read_keyed_csv, write_csv, write_json
 
 # Hard cap on table size so N = prod(levels) blow-ups fail loudly instead of
 # exhausting memory during construction.
@@ -616,46 +615,23 @@ def write_triplet_csv(X: DesignMatrix, path) -> None:
 def read_triplet_csv(path, n_rows=None, n_cols=None, labels=None) -> DesignMatrix:
     """Load a triplet CSV written by :func:`write_triplet_csv`.
 
-    The entries go into a sparse array, and zero values are dropped; only a
-    design that is not binary is then densified, since dense is its storage.
-    Indices must be in range, values finite, and every row and column must
-    have an entry; a (row, col) pair given twice is an error.  All of this
-    is checked before anything of the design's size is allocated.
+    Its ``row``, ``col`` and ``value`` columns are held to the checks of
+    every keyed CSV (``_io.read_keyed_csv``), and every row and column must
+    have an entry.  The entries go into a sparse array, and zero values are
+    dropped; only a design that is not binary is then densified, since
+    dense is its storage.  All of this is checked before anything of the
+    design's size is allocated.
     """
-    header = read_csv_header(path, DesignError)
-    if [h.lower() for h in header[:3]] != ["row", "col", "value"]:
-        raise DesignError(f"{path}: expected header 'row,col,value'")
-    (rows, cols), (vals,) = read_csv_columns(path, DesignError, [0, 1], [2], "triplet record")
-    if not len(rows):
-        raise DesignError(f"{path}: no entries")
-
-    def fail(i, message):
-        raise DesignError(f"{path}:{record_line(path, i)}: {message}")
-
-    outside = (rows < 0) | (cols < 0)
-    if n_rows is not None:
-        outside |= rows >= n_rows
-    if n_cols is not None:
-        outside |= cols >= n_cols
-    if outside.any():
-        i = np.argmax(outside)
-        fail(i, f"index ({rows[i]}, {cols[i]}) out of range")
-    if not np.all(np.isfinite(vals)):
-        i = np.argmax(~np.isfinite(vals))
-        fail(i, f"value {vals[i]} must be finite")
+    (rows, cols), vals = read_keyed_csv(path, DesignError, [("row", n_rows), ("col", n_cols)],
+                                        "value", 0, "triplet record")
     n = n_rows if n_rows is not None else int(rows.max()) + 1
     p = n_cols if n_cols is not None else int(cols.max()) + 1
     for name, index, size in (("row", rows, n), ("column", cols, p)):
         gap = _first_gap(index, size)
         if gap is not None:
             raise DesignError(f"{path}: {name} {gap} has no entry")
-    # no gaps, so n and p are at most the entry count and the keys fit in int64
-    key = rows * p + cols
-    order = np.argsort(key, kind="stable")
-    repeats = np.nonzero(key[order[1:]] == key[order[:-1]])[0]
-    if len(repeats):
-        k = order[repeats[0] + 1]
-        fail(k, f"entry ({rows[k]}, {cols[k]}) is given more than once")
+    # no gaps, so n and p are at most the entry count and the flat keys fit in int64
+    flat_keys(path, DesignError, [("row", n), ("col", p)], [rows, cols], 0)
     nonzero = vals != 0.0
     coo = sp.coo_array((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=(n, p))
     return DesignMatrix._from_matrix(coo, labels)

@@ -87,6 +87,8 @@ class ExperimentSpec:
         if not isinstance(d, dict):
             raise HarnessError(f"malformed experiment spec: expected an object, got {d!r:.40}")
         fields = {k: v for k, v in d.items() if k != "schema"}
+        if fields.get("t_max_secs", 0) is None:  # how JSON holds inf: no time limit
+            fields["t_max_secs"] = np.inf
         try:
             return cls(**fields)
         except TypeError as exc:

@@ -99,10 +99,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise SolverError(f"unknown variant {self.variant!r}; one of {_VARIANTS}")
-        if self.eps_tol <= 0:
+        if not self.eps_tol > 0:  # a nan fails too
             raise SolverError("eps_tol must be positive")
-        if self.lam < 0:
-            raise SolverError("lambda must be non-negative")
+        if math.isnan(self.t_max_secs):
+            raise SolverError("t_max_secs must be a number, not nan")
+        if not 0 <= self.lam < math.inf:
+            raise SolverError("lambda must be finite and non-negative")
         if self.lam > 0 and self.variant not in ("l1-ips", "ridge-q-ips"):
             raise SolverError(f"lambda applies only to l1-ips and ridge-q-ips, not {self.variant}")
         if self.w_choice not in ("bohning", "spectral"):
@@ -882,10 +884,10 @@ class _IisFamily(_ProfiledState):
     rescale of the slope mean for all coordinates at once."""
 
     def __init__(self, inst: ProblemInstance, cfg: SolverConfig, variant: str):
-        super().__init__(inst, cfg, variant)
         X = inst.design
         if X.kind == KIND_GENERAL:
             raise SolverError("iis requires a non-negative design")
+        super().__init__(inst, cfg, variant)
         self.rowsum = X.slope_row_sums()
         self.columns = X.columns()[1:]
 

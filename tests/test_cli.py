@@ -38,6 +38,13 @@ def files_equal(a, b) -> bool:
     return open(a, "rb").read() == open(b, "rb").read()
 
 
+def read_strict_json(path):
+    """A JSON file's content; ``NaN`` and ``Infinity``, which are not JSON, fail."""
+    def reject(token):
+        raise ValueError(f"{path} holds {token}, which is not JSON")
+    return json.loads(open(path).read(), parse_constant=reject)
+
+
 class TestFit:
     def test_independence_table(self, tmp_path):
         schema, counts = write_2x2_inputs(tmp_path)
@@ -88,9 +95,11 @@ class TestFit:
             code = run_cli("fit", "--design", str(dpath), "--counts-vec", str(npath),
                            "--offset", str(qpath), "--solver", solver, "--out-dir", str(out))
         assert code == 3
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_strict_json(out / "summary.json")
         assert summary["termination"] == "diverged"
         assert summary["iterations"] == 0
+        # the overflowed start's objective and gradient are not numbers
+        assert summary["objective"] is None and summary["rel_gradient"] is None
         # the unfitted mean's statistics are not reported
         assert summary["g_squared"] is None and summary["pearson_x2"] is None
 
@@ -202,7 +211,13 @@ class TestFit:
         code = run_cli("fit", "--design", str(dpath), "--counts-vec", str(npath),
                        "--out-dir", str(tmp_path / "o"))
         assert code == 1
-        assert "entry (1, 1)" in capsys.readouterr().err
+        assert "design.csv:6: row=1, col=1 repeats line 5" in capsys.readouterr().err
+
+    def test_nan_tolerance_rejected(self, tmp_path, capsys):
+        schema, counts = write_2x2_inputs(tmp_path)
+        assert run_cli("fit", "--counts", counts, "--schema", schema, "--eps-tol", "nan",
+                       "--out-dir", str(tmp_path / "o")) == 1
+        assert "eps_tol must be positive" in capsys.readouterr().err
 
     def test_missing_inputs_rejected(self, tmp_path):
         assert run_cli("fit", "--out-dir", str(tmp_path)) == 1
@@ -336,6 +351,11 @@ BAD_KEYED_INPUTS = {
     "repeated counts-vec row": ("fit-vec", "n.csv", "row,count\n0,3\n1,4\n1,5\n2,5\n", "n.csv:4"),
     "counts level out of range": ("fit", "counts.csv", "row,col,count\n1,1,10\n1,3,20\n",
                                   "counts.csv:3"),
+    # line 4 is the first record to repeat an earlier one, line 5 the second
+    # copy of the least repeated key
+    "repeated design entry": ("fit-vec", "design.csv",
+                              "row,col,value\n1,1,1\n0,0,1\n1,1,1\n0,0,1\n0,1,1\n1,0,1\n",
+                              "design.csv:4"),
 }
 
 GOOD_KEYED_INPUTS = {
@@ -513,6 +533,14 @@ class TestBenchAndGen:
             outs.append(out)
         assert files_equal(outs[0] / "trace_gis.csv", outs[1] / "trace_gis.csv")
         assert files_equal(outs[0] / "summary.csv", outs[1] / "summary.csv")
+
+    def test_failed_solver_wall_time_is_null(self, tmp_path):
+        # mm-binary rejects the non-binary design, so its mean wall time is not a number
+        out = tmp_path / "b"
+        assert run_cli("bench", "nonneg-small", "--scale", "0.1", "--replications", "1",
+                       "--roster", "mm-binary,gis", "--out-dir", str(out)) == 0
+        wall = read_strict_json(out / "wall_times.json")
+        assert wall["mm-binary"] is None and wall["gis"] > 0
 
     def test_unknown_scenario_lists_names(self, tmp_path, capsys):
         code = run_cli("bench", "nope", "--out-dir", str(tmp_path))

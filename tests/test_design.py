@@ -379,7 +379,7 @@ class TestTripletCsv:
         # last record winning would drop data without a word
         path = tmp_path / "bad.csv"
         path.write_text(f"row,col,value\n0,0,1\n1,0,1\n1,1,1\n{record}\n")
-        with pytest.raises(DesignError, match=r"entry \(0, 0\) is given more than once"):
+        with pytest.raises(DesignError, match=r"bad\.csv:5: row=0, col=0 repeats line 2"):
             read_triplet_csv(path)
 
     def test_binary_read_stays_sparse_in_memory(self, tmp_path):

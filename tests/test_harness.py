@@ -114,6 +114,13 @@ class TestSpecFromDict:
         spec = ExperimentSpec(scenario="general", n_rows=40, n_cols=5, seed=9)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    def test_unlimited_time_round_trips_through_its_file(self, tmp_path):
+        # JSON holds no inf, so the file says null, which reads back as no limit
+        spec = ExperimentSpec(scenario="general", n_rows=40, n_cols=5, t_max_secs=float("inf"))
+        spec.save(tmp_path / "spec.json")
+        assert '"t_max_secs": null' in (tmp_path / "spec.json").read_text()
+        assert ExperimentSpec.load(tmp_path / "spec.json") == spec
+
 
 class TestRunExperiment:
     def _spec(self, **kw):

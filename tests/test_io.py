@@ -167,7 +167,7 @@ def test_triplet_lines_count_the_lines_of_a_quoted_field(tmp_path):
     with pytest.raises(DesignError, match=_bad_line(path, 4)):
         read_triplet_csv(path)
     path.write_text(MULTILINE_TRIPLET.format("0,0,1,c"))
-    with pytest.raises(DesignError, match=r"design\.csv:4: entry \(0, 0\) is given more than once"):
+    with pytest.raises(DesignError, match=r"design\.csv:4: row=0, col=0 repeats line 2"):
         read_triplet_csv(path)
 
 

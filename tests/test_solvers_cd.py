@@ -539,6 +539,21 @@ class TestOneDispatcher:
             SolverConfig(variant=variant, lam=5.0)
         SolverConfig(variant=variant, lam=0.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("eps_tol", float("nan"), "eps_tol"),
+        ("t_max_secs", float("nan"), "t_max_secs"),
+        ("lam", float("nan"), "lambda"),
+        ("lam", float("inf"), "lambda"),
+        ("lam", float("-inf"), "lambda"),
+    ])
+    def test_non_number_settings_rejected(self, field, value, match):
+        # nan passes every comparison-based check, and an infinite penalty no fit can use
+        with pytest.raises(SolverError, match=match):
+            SolverConfig(variant="l1-ips", **{field: value})
+
+    def test_infinite_tolerance_and_time_limit_accepted(self):
+        SolverConfig(eps_tol=float("inf"), t_max_secs=float("inf"))
+
     def test_ips_fit_refuses_a_penalized_config(self):
         with pytest.raises(SolverError, match="lambda"):
             ips_fit(table_instance_3x3x3(), SolverConfig(variant="l1-ips", lam=1.0))

@@ -209,11 +209,13 @@ class TestParallelBlocks:
         ("mm-parallel", random_general_instance, "mm-parallel requires a non-negative design"),
         ("gis", random_general_instance, "gis requires a non-negative design"),
         ("mm-binary", random_nonneg_instance, "mm-binary requires a binary design"),
+        ("iis", random_general_instance, "iis requires a non-negative design"),
     ])
     def test_design_kind_checked_before_set_up(self, monkeypatch, variant, make, match):
         inst = make(36)
         built = []
         monkeypatch.setattr(DesignMatrix, "column_block", lambda self, cols: built.append(cols))
+        monkeypatch.setattr(DesignMatrix, "slope_matvec", lambda self, v: built.append(v))
         monkeypatch.setattr(Coefficients, "from_beta",
                             classmethod(lambda cls, inst, beta: built.append(beta)))
         with pytest.raises(SolverError, match=match):
